@@ -52,6 +52,23 @@ let with_metrics enabled f =
         r)
   end
 
+(* The registry entries named on a [cmd] command line, all of them when
+   none is named; an unknown name is a usage error (exit 2). *)
+let resolve_entries cmd names =
+  let module Reg = Protocols.Registry in
+  match names with
+  | [] -> Reg.all ()
+  | names ->
+      List.map
+        (fun n ->
+          match Reg.find n with
+          | Some e -> e
+          | None ->
+              Printf.eprintf "%s: unknown protocol %S; known: %s\n" cmd n
+                (String.concat ", " (Reg.names ()));
+              exit 2)
+        names
+
 type instance_kind = Disjoint | Intersecting | Dense | Full | Empty
 
 let instance_arg =
@@ -526,14 +543,7 @@ let run_protocol_cmd =
   let module Emu = Netsim.Board_emu in
   let run name runtime engine seed net_seed f faults max_writes check
       pipeline metrics =
-    let entry =
-      match Reg.find name with
-      | Some e -> e
-      | None ->
-          Printf.eprintf "run: unknown protocol %S; known: %s\n" name
-            (String.concat ", " (Reg.names ()));
-          exit 2
-    in
+    let entry = List.hd (resolve_entries "run" [ name ]) in
     let faults =
       match Netsim.Fault.parse faults with
       | Ok p -> p
@@ -555,8 +565,9 @@ let run_protocol_cmd =
       exit 2
     end;
     (* The pipelining certificate, when the slot-dependency analysis can
-       grant one; without it the emulation stays sequential (a warning,
-       not an error — the analysis declining is a legitimate result). *)
+       grant one; without it the emulation runs one slot per wave (a
+       warning, not an error — the analysis declining is a legitimate
+       result). *)
     let cert =
       if not pipeline then None
       else
@@ -576,7 +587,7 @@ let run_protocol_cmd =
             | None ->
                 Printf.eprintf
                   "run: no pipelining certificate for %s (analysis %s); \
-                   running sequentially\n"
+                   running one slot per wave\n"
                   name
                   (if dg.Analysis.Depgraph.widened then "widened"
                    else "saw misbehaving emit laws");
@@ -792,9 +803,10 @@ let run_protocol_cmd =
                    instances of a certificate wave go in flight \
                    concurrently, with network barriers only between waves. \
                    The certificate comes from the slot-dependency analysis \
-                   (see $(b,broadcast_cli analyze)); when the analysis \
-                   withholds it the run falls back to the sequential mode \
-                   with a warning. Requires $(b,--runtime async).")
+                   (see $(b,broadcast_cli analyze)); without this flag, or \
+                   with a warning when the analysis withholds the \
+                   certificate, the run goes one slot per wave. Requires \
+                   $(b,--runtime async).")
   in
   Cmd.v
     (Cmd.info "run"
@@ -856,21 +868,7 @@ let lint_cmd =
       ]
   in
   let run strict budget json only_rules ignore_rules jobs protocols =
-    let entries = Reg.all () in
-    let entries =
-      match protocols with
-      | [] -> entries
-      | names ->
-          List.map
-            (fun n ->
-              match Reg.find n with
-              | Some e -> e
-              | None ->
-                  Printf.eprintf "lint: unknown protocol %S; known: %s\n" n
-                    (String.concat ", " (Reg.names ()));
-                  exit 2)
-            names
-    in
+    let entries = resolve_entries "lint" protocols in
     let results =
       Par.parallel_map ?domains:jobs
         (fun e -> (e, lint_entry ~budget ~only_rules ~ignore_rules e))
@@ -966,20 +964,7 @@ let analyze_cmd =
   let module Reg = Protocols.Registry in
   let module Dg = Analysis.Depgraph in
   let run deps json budget protocols =
-    let entries =
-      match protocols with
-      | [] -> Reg.all ()
-      | names ->
-          List.map
-            (fun n ->
-              match Reg.find n with
-              | Some e -> e
-              | None ->
-                  Printf.eprintf "analyze: unknown protocol %S; known: %s\n" n
-                    (String.concat ", " (Reg.names ()));
-                  exit 2)
-            names
-    in
+    let entries = resolve_entries "analyze" protocols in
     let analyzed =
       List.map
         (fun (Reg.Entry e as entry) ->
@@ -1083,20 +1068,7 @@ let verify_cmd =
   let module Rep = Analysis.Report in
   let module Ab = Analysis.Absint in
   let run budget seed baseline ic sched json out jobs protocols metrics =
-    let entries =
-      match protocols with
-      | [] -> Reg.all ()
-      | names ->
-          List.map
-            (fun n ->
-              match Reg.find n with
-              | Some e -> e
-              | None ->
-                  Printf.eprintf "verify: unknown protocol %S; known: %s\n" n
-                    (String.concat ", " (Reg.names ()));
-                  exit 2)
-            names
-    in
+    let entries = resolve_entries "verify" protocols in
     let baseline =
       match baseline with
       | None -> V.empty_baseline

@@ -6,9 +6,9 @@
     identity, the message arity, the emit law another player applies, a
     coin law, whether slot [t] exists at all — or the protocol's output.
     Slots that read nothing still live may have their reliable-broadcast
-    instances in flight concurrently ({!Netsim.Board_emu}'s pipelined
-    mode); the per-slot barrier of the sequential emulation is only
-    required where a dependency edge crosses it.
+    instances in flight concurrently (one {!Netsim.Board_emu} wave); the
+    per-slot barrier of an uncertified emulation is only required where
+    a dependency edge crosses it.
 
     The analysis walks the tree with the same exact per-player
     reachability rectangles as {!Absint} (a branch declared dead is
@@ -34,8 +34,8 @@
     certificate. It is withheld ([certificate] returns [None]) whenever
     the node budget widened the walk or an emit law misbehaved
     (raised, or placed mass outside the arity) — in both cases the
-    read-sets may be incomplete and the consumer must fall back to the
-    sequential per-slot path. *)
+    read-sets may be incomplete and the consumer must fall back to one
+    slot per wave. *)
 
 module D = Prob.Dist_exact
 module R = Exact.Rational

@@ -5,11 +5,14 @@ type t = {
   mutable rev_writes : write list;
   mutable total : int;
   by_player : int array;
+  charged : bool;  (** posts emit Broadcast events and bump "board.*" *)
 }
 
 let create ~k =
   if k <= 0 then invalid_arg "Board.create: need at least one player";
-  { k; rev_writes = []; total = 0; by_player = Array.make k 0 }
+  { k; rev_writes = []; total = 0; by_player = Array.make k 0; charged = true }
+
+let scratch t = { t with by_player = Array.copy t.by_player; charged = false }
 
 let players t = t.k
 
@@ -23,12 +26,14 @@ let post_vec t ~player ?(label = "") vec =
      here, so the trace's Broadcast events and the "board.*" counters
      are complete by construction — one event and one bump per message,
      never per bit. Guards first: with the null sink and no registry
-     installed this is two predictable branches. *)
-  if Obs.Trace.enabled () then
-    Obs.Trace.emit (Obs.Event.Broadcast { player; bits = n; label });
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "board.bits" n;
-    Obs.Metrics.bump "board.messages" 1
+     installed this is three predictable branches. *)
+  if t.charged then begin
+    if Obs.Trace.enabled () then
+      Obs.Trace.emit (Obs.Event.Broadcast { player; bits = n; label });
+    if Obs.Metrics.enabled () then begin
+      Obs.Metrics.bump "board.bits" n;
+      Obs.Metrics.bump "board.messages" 1
+    end
   end
 
 let post t ~player ?label w =

@@ -20,6 +20,13 @@ type write = {
 val create : k:int -> t
 (** A fresh board for [k] players. *)
 
+val scratch : t -> t
+(** An uncharged working copy, made in O(k): it starts with [t]'s
+    writes (the immutable write log is shared, not copied), and later
+    posts to either board do not show in the other. Posts to the copy
+    emit no [Broadcast] event and bump no ["board.*"] counter — it holds
+    payloads computed ahead of being written for real. *)
+
 val players : t -> int
 
 val post : t -> player:int -> ?label:string -> Coding.Bitbuf.Writer.t -> unit

@@ -10,10 +10,12 @@
     once per copy — which is exactly why the per-copy cost converges to
     [IC_mu(Pi)] as [n] grows.
 
-    The simulation is literal (the actual point process is run), so the
-    product universe must stay enumerable: [prod arities <= 2^max_log_u]
-    per transmission. With binary messages this allows a few dozen
-    parallel copies — enough to exhibit the convergence. *)
+    One round loop serves two samplers. The literal one runs the actual
+    point process, so the product universe must stay enumerable:
+    [prod arities <= 2^max_log_u] per transmission — with binary
+    messages, a few dozen parallel copies, enough to exhibit the
+    convergence. The factored one samples the communicated values from
+    their closed-form laws and has no such cap. *)
 
 module T = Proto.Tree
 
@@ -55,12 +57,17 @@ let mixed_radix_decode arities code =
   done;
   values
 
-(** [compress_parallel ~seed ~tree ~mu ~inputs ()] runs the compressed
-    [n]-fold protocol on the given per-copy inputs (each an array of
-    per-player inputs). *)
-let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
+(* The Theorem-3 round loop: every round, settle public coins, group
+   the active copies by speaker, and transmit each group jointly.
+   [transmit ~public ~traced ~etas ~nus writer] is the sampler: given
+   the shared public stream (split there as the sampler needs), the
+   group's per-copy speaker laws [etas] and observer priors [nus], it
+   writes the joint encoding and returns the per-copy messages sent,
+   whether the fallback path was taken, and whether the receivers
+   decoded what was sent. *)
+let run_rounds ~what ~seed ~tree ~mu ~inputs transmit =
   let copies = Array.length inputs in
-  if copies = 0 then invalid_arg "Amortized.compress_parallel: no copies";
+  if copies = 0 then invalid_arg what;
   let public = Blackboard.Runtime.public_rng ~seed in
   let writer = Coding.Bitbuf.Writer.create () in
   let observers = Array.map (fun _ -> Observer.create tree mu) inputs in
@@ -68,7 +75,6 @@ let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
   let transmissions = ref 0 in
   let aborted = ref 0 in
   let agreed = ref true in
-  let max_blocks = Point_sampler.default_max_blocks eps in
   let any_active () = Array.exists (fun o -> not (Observer.finished o)) observers in
   (* Resolve chance nodes with shared public coins until every active
      copy sits at a Speak node. *)
@@ -117,79 +123,35 @@ let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
             Hashtbl.replace groups speaker (c :: existing)
         | None -> ())
       observers;
-    let speakers = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) groups []) in
+    let speakers =
+      List.sort compare (Hashtbl.fold (fun sp _ acc -> sp :: acc) groups [])
+    in
     List.iter
       (fun speaker ->
-        let group = List.rev (Hashtbl.find groups speaker) in
-        let group = Array.of_list group in
-        let arities = Array.make (Array.length group) 0 in
-        let etas = Array.make (Array.length group) [||] in
-        let nus = Array.make (Array.length group) [||] in
-        Array.iteri
-          (fun gi c ->
-            match Observer.speak_view observers.(c) with
-            | Some (_, arity, nu) ->
-                arities.(gi) <- arity;
-                nus.(gi) <- nu;
-                etas.(gi) <- Observer.speaker_eta observers.(c) inputs.(c).(speaker)
-            | None -> assert false)
-          group;
-        let log_u =
-          Array.fold_left
-            (fun acc a -> acc +. Float.log2 (float_of_int a))
-            0. arities
+        let group = Array.of_list (List.rev (Hashtbl.find groups speaker)) in
+        let etas =
+          Array.map
+            (fun c -> Observer.speaker_eta observers.(c) inputs.(c).(speaker))
+            group
         in
-        if log_u > float_of_int max_log_u then
-          invalid_arg
-            "Amortized.compress_parallel: product universe too large \
-             (reduce copies)";
-        let u =
-          Array.fold_left (fun acc a -> acc * a) 1 arities
+        let nus =
+          Array.map
+            (fun c ->
+              match Observer.speak_view observers.(c) with
+              | Some (_, _, nu) -> nu
+              | None -> assert false)
+            group
         in
-        (* Product eta and nu over the group's joint message. *)
-        let eta = Array.make u 0. and nu = Array.make u 0. in
-        for code = 0 to u - 1 do
-          let values = mixed_radix_decode arities code in
-          let pe = ref 1. and pn = ref 1. in
-          Array.iteri
-            (fun gi v ->
-              pe := !pe *. etas.(gi).(v);
-              pn := !pn *. nus.(gi).(v))
-            values;
-          eta.(code) <- !pe;
-          nu.(code) <- !pn
-        done;
-        if traced then
-          Obs.Trace.emit
-            (Obs.Event.Sampler_budget
-               { divergence = divergence_bits eta nu; eps });
-        (* Fresh shared round stream; the decoder gets an equal copy. *)
-        let round_rng = Prob.Rng.split public in
-        let decoder_rng = Prob.Rng.copy round_rng in
-        let reader_mark = Coding.Bitbuf.Writer.length writer in
-        let res =
-          Point_sampler.transmit ~rng:round_rng ~eta ~nu ~eps ~max_blocks
-            writer
+        let sent, fell_back, decoded =
+          transmit ~public ~traced ~etas ~nus writer
         in
         incr transmissions;
-        if res.aborted then incr aborted;
-        (* Run the honest decoder on the bits just written: slice the
-           round out of the stream writer as a packed vector (no per-bit
-           boxing of the whole history). *)
-        let round_vec =
-          Coding.Bitbuf.Writer.extract writer ~pos:reader_mark
-            ~len:(Coding.Bitbuf.Writer.length writer - reader_mark)
-        in
-        let reader = Coding.Bitbuf.Reader.of_vec round_vec in
-        let decoded =
-          Point_sampler.decode ~rng:decoder_rng ~nu ~u ~max_blocks reader
-        in
-        if decoded <> res.sent then agreed := false;
+        if fell_back then incr aborted;
+        if not decoded then agreed := false;
         (* Advance every copy in the group on its component message. *)
-        let values = mixed_radix_decode arities res.sent in
         Array.iteri
           (fun gi c ->
-            observers.(c) <- Observer.advance_msg observers.(c) values.(gi))
+            observers.(c) <- Observer.advance_msg observers.(c) sent.(gi))
           group)
       speakers;
     settle_chance ();
@@ -219,6 +181,64 @@ let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
     agreed = !agreed;
   }
 
+(** [compress_parallel ~seed ~tree ~mu ~inputs ()] runs the compressed
+    [n]-fold protocol on the given per-copy inputs (each an array of
+    per-player inputs): each group is one {!Point_sampler} invocation
+    over the product universe, checked by the honest decoder. *)
+let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
+  let max_blocks = Point_sampler.default_max_blocks eps in
+  run_rounds ~what:"Amortized.compress_parallel: no copies" ~seed ~tree ~mu
+    ~inputs (fun ~public ~traced ~etas ~nus writer ->
+      let arities = Array.map Array.length nus in
+      let log_u =
+        Array.fold_left
+          (fun acc a -> acc +. Float.log2 (float_of_int a))
+          0. arities
+      in
+      if log_u > float_of_int max_log_u then
+        invalid_arg
+          "Amortized.compress_parallel: product universe too large \
+           (reduce copies)";
+      let u = Array.fold_left (fun acc a -> acc * a) 1 arities in
+      (* Product eta and nu over the group's joint message. *)
+      let eta = Array.make u 0. and nu = Array.make u 0. in
+      for code = 0 to u - 1 do
+        let values = mixed_radix_decode arities code in
+        let pe = ref 1. and pn = ref 1. in
+        Array.iteri
+          (fun gi v ->
+            pe := !pe *. etas.(gi).(v);
+            pn := !pn *. nus.(gi).(v))
+          values;
+        eta.(code) <- !pe;
+        nu.(code) <- !pn
+      done;
+      if traced then
+        Obs.Trace.emit
+          (Obs.Event.Sampler_budget
+             { divergence = divergence_bits eta nu; eps });
+      (* Fresh shared round stream; the decoder gets an equal copy. *)
+      let round_rng = Prob.Rng.split public in
+      let decoder_rng = Prob.Rng.copy round_rng in
+      let reader_mark = Coding.Bitbuf.Writer.length writer in
+      let res =
+        Point_sampler.transmit ~rng:round_rng ~eta ~nu ~eps ~max_blocks writer
+      in
+      (* Run the honest decoder on the bits just written: slice the
+         round out of the stream writer as a packed vector (no per-bit
+         boxing of the whole history). *)
+      let round_vec =
+        Coding.Bitbuf.Writer.extract writer ~pos:reader_mark
+          ~len:(Coding.Bitbuf.Writer.length writer - reader_mark)
+      in
+      let reader = Coding.Bitbuf.Reader.of_vec round_vec in
+      let decoded =
+        Point_sampler.decode ~rng:decoder_rng ~nu ~u ~max_blocks reader
+      in
+      ( mixed_radix_decode arities res.sent,
+        res.aborted,
+        decoded = res.sent ))
+
 (** Like {!compress_parallel} but driven by the cost-faithful
     {!Factored_sampler}, so the number of copies is unbounded by the
     product-universe size (hundreds of copies are fine). No honest
@@ -226,125 +246,21 @@ let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
     is reported true; the two simulators are cross-validated at small
     sizes by the test suite. *)
 let compress_parallel_factored ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
-  let copies = Array.length inputs in
-  if copies = 0 then invalid_arg "Amortized.compress_parallel_factored";
-  let public = Blackboard.Runtime.public_rng ~seed in
-  let writer = Coding.Bitbuf.Writer.create () in
-  let observers = Array.map (fun _ -> Observer.create tree mu) inputs in
-  let rounds = ref 0 in
-  let transmissions = ref 0 in
-  let aborted = ref 0 in
-  let any_active () = Array.exists (fun o -> not (Observer.finished o)) observers in
-  let settle_chance () =
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      Array.iteri
-        (fun c o ->
-          match Observer.chance_view o with
-          | Some law ->
-              let coin_rng = Prob.Rng.split public in
-              let x = ref (Prob.Rng.float coin_rng) in
-              let pick = ref 0 in
-              (try
-                 Array.iteri
-                   (fun i p ->
-                     if !x < p then begin
-                       pick := i;
-                       raise Exit
-                     end
-                     else x := !x -. p)
-                   law
-               with Exit -> ());
-              observers.(c) <- Observer.advance_coin o !pick;
-              changed := true
-          | None -> ())
-        observers
-    done
-  in
-  while any_active () do
-    incr rounds;
-    let traced = Obs.Trace.enabled () in
-    if traced then Obs.Trace.emit (Obs.Event.Round_start { round = !rounds });
-    let round_mark = Coding.Bitbuf.Writer.length writer in
-    settle_chance ();
-    let groups = Hashtbl.create 4 in
-    Array.iteri
-      (fun c o ->
-        match Observer.speak_view o with
-        | Some (speaker, _, _) ->
-            let existing =
-              Option.value ~default:[] (Hashtbl.find_opt groups speaker)
-            in
-            Hashtbl.replace groups speaker (c :: existing)
-        | None -> ())
-      observers;
-    let speakers =
-      List.sort compare (Hashtbl.fold (fun sp _ acc -> sp :: acc) groups [])
-    in
-    List.iter
-      (fun speaker ->
-        let group = Array.of_list (List.rev (Hashtbl.find groups speaker)) in
-        let etas =
-          Array.map
-            (fun c -> Observer.speaker_eta observers.(c) inputs.(c).(speaker))
-            group
-        in
-        let nus =
-          Array.map
-            (fun c ->
-              match Observer.speak_view observers.(c) with
-              | Some (_, _, nu) -> nu
-              | None -> assert false)
-            group
-        in
-        if traced then begin
-          (* Product-law divergence adds across the group's factors. *)
-          let d = ref 0. in
-          Array.iteri
-            (fun gi eta -> d := !d +. divergence_bits eta nus.(gi))
-            etas;
-          Obs.Trace.emit
-            (Obs.Event.Sampler_budget { divergence = !d; eps })
-        end;
-        let round_rng = Prob.Rng.split public in
-        let res =
-          Factored_sampler.transmit ~rng:round_rng ~etas ~nus ~eps writer
-        in
-        incr transmissions;
-        if res.Factored_sampler.aborted then incr aborted;
+  run_rounds ~what:"Amortized.compress_parallel_factored" ~seed ~tree ~mu
+    ~inputs (fun ~public ~traced ~etas ~nus writer ->
+      if traced then begin
+        (* Product-law divergence adds across the group's factors. *)
+        let d = ref 0. in
         Array.iteri
-          (fun gi c ->
-            observers.(c) <-
-              Observer.advance_msg observers.(c) res.Factored_sampler.sent.(gi))
-          group)
-      speakers;
-    settle_chance ();
-    if traced then
-      Obs.Trace.emit
-        (Obs.Event.Round_end
-           {
-             round = !rounds;
-             bits = Coding.Bitbuf.Writer.length writer - round_mark;
-           })
-  done;
-  let total_bits = Coding.Bitbuf.Writer.length writer in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "amortized.rounds" !rounds;
-    Obs.Metrics.bump "amortized.transmissions" !transmissions;
-    Obs.Metrics.bump "amortized.aborts" !aborted;
-    Obs.Metrics.bump "amortized.bits" total_bits
-  end;
-  {
-    copies;
-    total_bits;
-    per_copy_bits = float_of_int total_bits /. float_of_int copies;
-    rounds = !rounds;
-    transmissions = !transmissions;
-    aborted = !aborted;
-    outputs = Array.map Observer.output_exn observers;
-    agreed = true;
-  }
+          (fun gi eta -> d := !d +. divergence_bits eta nus.(gi))
+          etas;
+        Obs.Trace.emit (Obs.Event.Sampler_budget { divergence = !d; eps })
+      end;
+      let round_rng = Prob.Rng.split public in
+      let res =
+        Factored_sampler.transmit ~rng:round_rng ~etas ~nus ~eps writer
+      in
+      (res.Factored_sampler.sent, res.Factored_sampler.aborted, true))
 
 let draw_inputs ~seed ~mu ~copies =
   let sampler = Prob.Sampler.create (Prob.Dist_exact.to_float_dist mu) in

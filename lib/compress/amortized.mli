@@ -8,12 +8,13 @@
     overhead is paid once per round — which is exactly why the per-copy
     cost converges to [IC_mu(Pi)] as [n] grows.
 
-    Two drivers are provided: the {e literal} one replays the actual
-    point process honestly, including an independent decoder
-    (product universe capped at [2^20], so a few dozen binary-message
-    copies); the {e factored} one ({!Factored_sampler}) samples the
-    communicated values from their closed-form laws and scales to
-    hundreds of copies. They agree at sizes where both run (a test). *)
+    One round loop runs over two samplers, which differ only in how a
+    group is transmitted: the {e literal} one replays the actual point
+    process honestly, including an independent decoder (product
+    universe capped at [2^20], so a few dozen binary-message copies);
+    the {e factored} one ({!Factored_sampler}) samples the communicated
+    values from their closed-form laws and scales to hundreds of
+    copies. They agree at sizes where both run (a test). *)
 
 type run = {
   copies : int;

@@ -84,6 +84,9 @@ let corrupt v =
     Coding.Bitbuf.Writer.freeze w
   end
 
+(* Why a wave's payload collection stopped. *)
+type stop = Wave_full | Schedule_done | Speaker_down of int
+
 let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
   if k <= 3 * config.f then
     Error (Insufficient_honest { k; f = config.f })
@@ -92,6 +95,13 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
       (Engine_error
          (Engine.Size_mismatch { expected = k; got = Array.length players }))
   else begin
+    (* No certificate: the empty one, under which every slot is its own
+       wave. *)
+    let cert = Option.value cert ~default:(Hbcheck.sequential_cert ~slots:0) in
+    (match Hbcheck.validate_cert cert with
+    | Ok () -> ()
+    | Error m ->
+        invalid_arg ("Board_emu.run: invalid pipelining certificate: " ^ m));
     let crash_budget = Fault.crash_budget config.faults ~k in
     let equivocator = Fault.equivocators config.faults ~k in
     let drop_prob = Fault.drop_prob config.faults in
@@ -100,7 +110,7 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
     let sends_by = Array.make k 0 in
     Array.iteri (fun p b -> if b <= 0 then crashed.(p) <- true) crash_budget;
     let board = Board.create ~k in
-    (* Per-slot network seeds split deterministically off the run seed,
+    (* Per-wave network seeds split deterministically off the run seed,
        so the whole execution replays from [config.seed] alone. *)
     let seed_master = Prob.Rng.of_int_seed config.seed in
     let sends = ref 0 and echoes = ref 0 and readies = ref 0 in
@@ -131,51 +141,87 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
         Obs.Metrics.bump "netsim.slots" (Board.write_count board)
       end
     in
-    (* One Bracha instance per board slot, run to network quiescence —
-       the slot barrier that makes "write t+1 may depend on write t"
-       well defined on an asynchronous substrate. *)
-    let run_slot ~slot ~speaker payload =
-      incr waves_run;
+    let stalled ~slot ~speaker reason =
+      publish_metrics ();
+      Ok
+        (Stalled
+           { board; delivered_slots = slot; speaker; reason; stats = stats () })
+    in
+    let hb = Hbcheck.create cert ~k in
+    (* End of the wave starting at [w]: the next boundary, the end of
+       the analyzed range, or a singleton past it. *)
+    let wave_end w =
+      if w >= cert.Hbcheck.slots then w + 1
+      else
+        Array.fold_left
+          (fun e b -> if b > w && b < e then b else e)
+          cert.Hbcheck.slots cert.Hbcheck.waves
+    in
+    (* Speculative payloads for the slots [wstart, wend), computed in
+       slot order on an uncharged scratch copy of the committed board:
+       each slot's [speak] runs exactly once, against the board the sync
+       engine would show it if the wave's earlier slots deliver their
+       payloads — so hosted schedules sample identically and fault-free
+       runs stay byte-identical to {!Engine.run}. Returns the wave's
+       (speaker, payload) launches, slot [wstart] first, and why
+       scheduling stopped. *)
+    let collect wstart wend =
+      let scratch = Board.scratch board in
+      let rec go t acc =
+        let stop why = Ok (Array.of_list (List.rev acc), why) in
+        if t >= wend then stop Wave_full
+        else
+          match schedule scratch with
+          | None -> stop Schedule_done
+          | Some i when i < 0 || i >= k ->
+              Error
+                (Engine_error (Engine.Bad_speaker { index = i; k; at_write = t }))
+          | Some _ when t >= max_writes ->
+              Error (Engine_error (Engine.Runaway { max_writes }))
+          | Some i when crashed.(i) -> stop (Speaker_down i)
+          | Some i ->
+              let payload =
+                Coding.Bitbuf.Writer.freeze (players.(i).Engine.speak scratch)
+              in
+              Board.post_vec scratch ~player:i payload;
+              go (t + 1) ((i, payload) :: acc)
+      in
+      go wstart []
+    in
+    (* One Bracha instance per slot of the wave, all in flight over one
+       shared network and run to quiescence — the barrier that makes "a
+       later wave may depend on this one" well defined on an
+       asynchronous substrate. Returns the per-slot, per-player RBC
+       machines. *)
+    let run_wave wstart launches =
       let sim =
         Sim.create ~drop_prob ~max_jitter
           ~seed:(Prob.Rng.bits62 (Prob.Rng.split seed_master))
           ()
       in
       let machines =
-        Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ())
+        Array.map
+          (fun _ -> Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ()))
+          launches
       in
-      let delivered_at = Array.make k None in
       let traced = Obs.Trace.enabled () in
-      let count_phase phase bits =
-        (match phase with
-        | Rbc.Send -> incr sends
-        | Rbc.Echo -> incr echoes
-        | Rbc.Ready -> incr readies);
-        net_bits := !net_bits + bits
-      in
-      let emit_sent phase ~src ~dst ~bits =
-        Obs.Trace.emit
-          (match phase with
-          | Rbc.Send -> Obs.Event.Rbc_send { slot; src; dst; bits }
-          | Rbc.Echo -> Obs.Event.Rbc_echo { slot; src; dst; bits }
-          | Rbc.Ready -> Obs.Event.Rbc_ready { slot; src; dst; bits })
-      in
-      let rec do_actions p actions =
+      let rec do_actions ~slot p actions =
         List.iter
           (function
             | Rbc.Deliver v ->
-                delivered_at.(p) <- Some v;
+                Hbcheck.note_deliver hb ~slot ~player:p;
                 if traced then
                   Obs.Trace.emit
                     (Obs.Event.Rbc_deliver
                        { slot; player = p; bits = Coding.Bitvec.length v })
-            | Rbc.Broadcast (phase, v) -> broadcast_from p phase v)
+            | Rbc.Broadcast (phase, v) -> broadcast_from ~slot p phase v)
           actions
-      and broadcast_from p phase v =
+      and broadcast_from ~slot p phase v =
         if not crashed.(p) then begin
           (* A player processes its own message locally, free of charge
              (loopback); only cross-player traffic hits the wire. *)
-          do_actions p (Rbc.handle machines.(p) ~from:p phase v);
+          do_actions ~slot p
+            (Rbc.handle machines.(slot - wstart).(p) ~from:p phase v);
           let wire = encode ~slot phase v in
           let wire_alt =
             if phase = Rbc.Send && equivocator.(p) then
@@ -195,8 +241,19 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
                 in
                 let bits = Coding.Bitvec.length wire in
                 if Sim.send sim ~src:p ~dst:!dst ~bits wire then begin
-                  count_phase phase bits;
-                  if traced then emit_sent phase ~src:p ~dst:!dst ~bits
+                  net_bits := !net_bits + bits;
+                  incr
+                    (match phase with
+                    | Rbc.Send -> sends
+                    | Rbc.Echo -> echoes
+                    | Rbc.Ready -> readies);
+                  if traced then
+                    let src = p and dst = !dst in
+                    Obs.Trace.emit
+                      (match phase with
+                      | Rbc.Send -> Obs.Event.Rbc_send { slot; src; dst; bits }
+                      | Rbc.Echo -> Obs.Event.Rbc_echo { slot; src; dst; bits }
+                      | Rbc.Ready -> Obs.Event.Rbc_ready { slot; src; dst; bits })
                 end
                 else begin
                   incr drops;
@@ -210,22 +267,32 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
           done
         end
       in
-      broadcast_from speaker Rbc.Send payload;
+      Array.iteri
+        (fun i (speaker, payload) ->
+          let slot = wstart + i in
+          Hbcheck.note_launch hb ~slot ~speaker;
+          broadcast_from ~slot speaker Rbc.Send payload)
+        launches;
       Sim.run sim ~deliver:(fun env ->
-          if not crashed.(env.Sim.dst) then begin
-            let phase, slot', value = decode env.Sim.payload in
-            assert (slot' = slot);
-            do_actions env.Sim.dst
-              (Rbc.handle machines.(env.Sim.dst) ~from:env.Sim.src phase value)
+          let dst = env.Sim.dst in
+          if not crashed.(dst) then begin
+            let phase, slot, value = decode env.Sim.payload in
+            let i = slot - wstart in
+            if i >= 0 && i < Array.length launches then
+              do_actions ~slot dst
+                (Rbc.handle machines.(i).(dst) ~from:env.Sim.src phase value)
           end);
-      (* Slot verdict: every live player must have delivered, and — the
-         Bracha agreement property, enforced rather than assumed — all
-         delivered values must coincide. *)
+      machines
+    in
+    (* Slot verdict: every live player must have delivered, and — the
+       Bracha agreement property, enforced rather than assumed — all
+       delivered values must coincide. *)
+    let verdict ~slot machines =
       let value = ref None in
       let complete = ref true in
       for p = 0 to k - 1 do
         if not crashed.(p) then
-          match (delivered_at.(p), !value) with
+          match (Rbc.delivered machines.(p), !value) with
           | None, _ -> complete := false
           | Some v, None -> value := Some v
           | Some v, Some v0 ->
@@ -238,309 +305,62 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
       done;
       if !complete then !value else None
     in
-    let rec slots slot =
-      match schedule board with
-      | None ->
+    let traced = Obs.Trace.enabled () in
+    let rec waves_loop wstart =
+      match collect wstart (wave_end wstart) with
+      | Error e -> Error e
+      (* An empty wave stopped on the schedule, never on its length. *)
+      | Ok ([||], Speaker_down i) ->
+          stalled ~slot:wstart ~speaker:i Speaker_crashed
+      | Ok ([||], (Schedule_done | Wave_full)) ->
           publish_metrics ();
-          Ok (Delivered { board; writes = slot; stats = stats () })
-      | Some i when i < 0 || i >= k ->
-          Error (Engine_error (Engine.Bad_speaker { index = i; k; at_write = slot }))
-      | Some _ when slot >= max_writes ->
-          Error (Engine_error (Engine.Runaway { max_writes }))
-      | Some i when crashed.(i) ->
-          publish_metrics ();
-          Ok
-            (Stalled
-               {
-                 board;
-                 delivered_slots = slot;
-                 speaker = i;
-                 reason = Speaker_crashed;
-                 stats = stats ();
-               })
-      | Some i -> (
-          let traced = Obs.Trace.enabled () in
-          if traced then Obs.Trace.emit (Obs.Event.Round_start { round = slot });
-          let payload = Coding.Bitbuf.Writer.freeze (players.(i).Engine.speak board) in
-          match run_slot ~slot ~speaker:i payload with
-          | Some value ->
-              Board.post_vec board ~player:i value;
-              if traced then
-                Obs.Trace.emit
-                  (Obs.Event.Round_end
-                     { round = slot; bits = Coding.Bitvec.length value });
-              Array.iteri
-                (fun p pl -> if not crashed.(p) then pl.Engine.observe board)
-                players;
-              slots (slot + 1)
-          | None ->
-              publish_metrics ();
-              Ok
-                (Stalled
-                   {
-                     board;
-                     delivered_slots = slot;
-                     speaker = i;
-                     reason = No_quorum;
-                     stats = stats ();
-                   }))
-    in
-    (* ---------------------------------------------------------------- *)
-    (* Pipelined mode: one RBC instance per slot of the current wave,    *)
-    (* all in flight over a single shared network, barriers only between *)
-    (* waves. Payloads are still computed sequentially (slot order, one  *)
-    (* [speak] per slot) on a scratch replay of the committed board, so  *)
-    (* fault-free runs stay byte-identical to the sequential engine by   *)
-    (* construction; the {!Hbcheck} oracle then verifies that the        *)
-    (* network-level launch/deliver order respected the certificate's    *)
-    (* read-sets — i.e. that a faithful distributed deployment could     *)
-    (* have produced the same payloads.                                  *)
-    (* ---------------------------------------------------------------- *)
-    let run_pipelined cert =
-      (match Hbcheck.validate_cert cert with
-      | Ok () -> ()
-      | Error m ->
-          invalid_arg ("Board_emu.run: invalid pipelining certificate: " ^ m));
-      let hb = Hbcheck.create cert ~k in
-      (* End of the wave starting at [w]: the next boundary, the end of
-         the analyzed range, or a singleton past it. *)
-      let wave_end w =
-        let e = ref (max cert.Hbcheck.slots (w + 1)) in
-        Array.iter
-          (fun b -> if b > w && b < !e then e := b)
-          cert.Hbcheck.waves;
-        if w >= cert.Hbcheck.slots then w + 1 else !e
-      in
-      (* Speculative payload computation for one wave, on a scratch
-         replay of the committed board. Each slot's [speak] runs exactly
-         once, in slot order — the same call sequence as the sequential
-         driver, so hosted schedules sample identically. *)
-      let collect wstart wend =
-        let scratch = Board.create ~k in
-        List.iter
-          (fun w ->
-            Board.post_vec scratch ~player:w.Board.player ~label:w.Board.label
-              w.Board.vec)
-          (Board.writes board);
-        let rec go t acc =
-          if t >= wend then Ok (List.rev acc)
-          else
-            match schedule scratch with
-            | None -> Ok (List.rev acc)
-            | Some i when i < 0 || i >= k ->
-                Error
-                  (Engine_error (Engine.Bad_speaker { index = i; k; at_write = t }))
-            | Some _ when t >= max_writes ->
-                Error (Engine_error (Engine.Runaway { max_writes }))
-            | Some i when crashed.(i) -> Ok (List.rev acc)
-            | Some i ->
-                let payload =
-                  Coding.Bitbuf.Writer.freeze (players.(i).Engine.speak scratch)
-                in
-                Board.post_vec scratch ~player:i payload;
-                go (t + 1) ((t, i, payload) :: acc)
-        in
-        go wstart []
-      in
-      (* Run one wave's RBC instances concurrently over a shared
-         network; returns per-slot agreed values (None = no quorum). *)
-      let run_batch launches =
-        let sim =
-          Sim.create ~drop_prob ~max_jitter
-            ~seed:(Prob.Rng.bits62 (Prob.Rng.split seed_master))
-            ()
-        in
-        let insts = Hashtbl.create 8 in
-        List.iter
-          (fun (slot, _, _) ->
-            Hashtbl.replace insts slot
-              ( Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ()),
-                Array.make k None ))
-          launches;
-        let traced = Obs.Trace.enabled () in
-        let count_phase phase bits =
-          (match phase with
-          | Rbc.Send -> incr sends
-          | Rbc.Echo -> incr echoes
-          | Rbc.Ready -> incr readies);
-          net_bits := !net_bits + bits
-        in
-        let emit_sent ~slot phase ~src ~dst ~bits =
-          Obs.Trace.emit
-            (match phase with
-            | Rbc.Send -> Obs.Event.Rbc_send { slot; src; dst; bits }
-            | Rbc.Echo -> Obs.Event.Rbc_echo { slot; src; dst; bits }
-            | Rbc.Ready -> Obs.Event.Rbc_ready { slot; src; dst; bits })
-        in
-        let rec do_actions ~slot p actions =
-          List.iter
-            (function
-              | Rbc.Deliver v ->
-                  (snd (Hashtbl.find insts slot)).(p) <- Some v;
-                  Hbcheck.note_deliver hb ~slot ~player:p;
+          Ok (Delivered { board; writes = wstart; stats = stats () })
+      | Ok (launches, _) ->
+          let n = Array.length launches in
+          let wave_ix = !waves_run in
+          incr waves_run;
+          if traced then
+            Obs.Trace.emit
+              (Obs.Event.Wave_start
+                 { wave = wave_ix; first_slot = wstart; slots = n });
+          let machines = run_wave wstart launches in
+          (* Commit delivered slots in order; the first incomplete slot
+             stalls the run there (later deliveries are dropped so the
+             committed board stays a prefix of the sync board). *)
+          let rec commit i =
+            if i = n then n
+            else
+              let slot = wstart + i and speaker, _ = launches.(i) in
+              match verdict ~slot machines.(i) with
+              | None -> i
+              | Some value ->
+                  if traced then
+                    Obs.Trace.emit (Obs.Event.Round_start { round = slot });
+                  Board.post_vec board ~player:speaker value;
                   if traced then
                     Obs.Trace.emit
-                      (Obs.Event.Rbc_deliver
-                         { slot; player = p; bits = Coding.Bitvec.length v })
-              | Rbc.Broadcast (phase, v) -> broadcast_from ~slot p phase v)
-            actions
-        and broadcast_from ~slot p phase v =
-          if not crashed.(p) then begin
-            let machines, _ = Hashtbl.find insts slot in
-            do_actions ~slot p (Rbc.handle machines.(p) ~from:p phase v);
-            let wire = encode ~slot phase v in
-            let wire_alt =
-              if phase = Rbc.Send && equivocator.(p) then
-                Some (encode ~slot phase (corrupt v))
-              else None
-            in
-            let dst = ref 0 in
-            while !dst < k && not crashed.(p) do
-              if !dst <> p then begin
-                if sends_by.(p) >= crash_budget.(p) then crashed.(p) <- true
-                else begin
-                  sends_by.(p) <- sends_by.(p) + 1;
-                  let wire =
-                    match wire_alt with
-                    | Some alt when !dst mod 2 = 1 -> alt
-                    | _ -> wire
-                  in
-                  let bits = Coding.Bitvec.length wire in
-                  if Sim.send sim ~src:p ~dst:!dst ~bits wire then begin
-                    count_phase phase bits;
-                    if traced then emit_sent ~slot phase ~src:p ~dst:!dst ~bits
-                  end
-                  else begin
-                    incr drops;
-                    if traced then
-                      Obs.Trace.emit
-                        (Obs.Event.Net_drop { slot; src = p; dst = !dst })
-                  end
-                end
-              end;
-              incr dst
-            done
-          end
-        in
-        List.iter
-          (fun (slot, speaker, payload) ->
-            Hbcheck.note_launch hb ~slot ~speaker;
-            broadcast_from ~slot speaker Rbc.Send payload)
-          launches;
-        Sim.run sim ~deliver:(fun env ->
-            if not crashed.(env.Sim.dst) then begin
-              let phase, slot', value = decode env.Sim.payload in
-              match Hashtbl.find_opt insts slot' with
-              | None -> ()
-              | Some _ ->
-                  do_actions ~slot:slot' env.Sim.dst
-                    (Rbc.handle
-                       (fst (Hashtbl.find insts slot')).(env.Sim.dst)
-                       ~from:env.Sim.src phase value)
-            end);
-        fun slot ->
-          let _, delivered_at = Hashtbl.find insts slot in
-          let value = ref None in
-          let complete = ref true in
-          for p = 0 to k - 1 do
-            if not crashed.(p) then
-              match (delivered_at.(p), !value) with
-              | None, _ -> complete := false
-              | Some v, None -> value := Some v
-              | Some v, Some v0 ->
-                  if not (Coding.Bitvec.equal v v0) then
-                    failwith
-                      (Printf.sprintf
-                         "Board_emu: agreement violation in slot %d (n > 3f \
-                          should make this unreachable)"
-                         slot)
-          done;
-          if !complete then !value else None
-      in
-      let traced = Obs.Trace.enabled () in
-      let rec waves_loop wstart =
-        match collect wstart (wave_end wstart) with
-        | Error e -> Error e
-        | Ok [] -> (
-            match schedule board with
-            | None ->
-                publish_metrics ();
-                Ok (Delivered { board; writes = wstart; stats = stats () })
-            | Some i ->
-                assert (i >= 0 && i < k && crashed.(i));
-                publish_metrics ();
-                Ok
-                  (Stalled
-                     {
-                       board;
-                       delivered_slots = wstart;
-                       speaker = i;
-                       reason = Speaker_crashed;
-                       stats = stats ();
-                     }))
-        | Ok launches -> (
-            let wave_ix = !waves_run in
-            incr waves_run;
-            if traced then
-              Obs.Trace.emit
-                (Obs.Event.Wave_start
-                   {
-                     wave = wave_ix;
-                     first_slot = wstart;
-                     slots = List.length launches;
-                   });
-            let verdict = run_batch launches in
-            (* Commit delivered slots in order; the first incomplete slot
-               stalls the run there (later deliveries are dropped so the
-               committed board stays a prefix of the sync board). *)
-            let rec commit = function
-              | [] -> None
-              | (slot, speaker, _) :: rest -> (
-                  match verdict slot with
-                  | Some value ->
-                      if traced then
-                        Obs.Trace.emit (Obs.Event.Round_start { round = slot });
-                      Board.post_vec board ~player:speaker value;
-                      if traced then
-                        Obs.Trace.emit
-                          (Obs.Event.Round_end
-                             { round = slot; bits = Coding.Bitvec.length value });
-                      Array.iteri
-                        (fun p pl ->
-                          if not crashed.(p) then pl.Engine.observe board)
-                        players;
-                      commit rest
-                  | None -> Some (slot, speaker))
-            in
-            let stalled = commit launches in
-            if traced then
-              Obs.Trace.emit
-                (Obs.Event.Wave_end
-                   {
-                     wave = wave_ix;
-                     first_slot = wstart;
-                     delivered = Board.write_count board - wstart;
-                   });
-            (* The oracle's verdict on this wave: a race here means the
-               certificate allowed a slot in flight before its reads
-               were delivered — a bug worth a hard stop, not a result. *)
-            Hbcheck.check hb;
-            match stalled with
-            | Some (slot, speaker) ->
-                publish_metrics ();
-                Ok
-                  (Stalled
-                     {
-                       board;
-                       delivered_slots = slot;
-                       speaker;
-                       reason = No_quorum;
-                       stats = stats ();
-                     })
-            | None -> waves_loop (Board.write_count board))
-      in
-      waves_loop 0
+                      (Obs.Event.Round_end
+                         { round = slot; bits = Coding.Bitvec.length value });
+                  Array.iteri
+                    (fun p pl -> if not crashed.(p) then pl.Engine.observe board)
+                    players;
+                  commit (i + 1)
+          in
+          let committed = commit 0 in
+          if traced then
+            Obs.Trace.emit
+              (Obs.Event.Wave_end
+                 { wave = wave_ix; first_slot = wstart;
+                   delivered = committed });
+          (* The oracle's verdict on this wave: a race here means the
+             certificate allowed a slot in flight before its reads
+             were delivered — a bug worth a hard stop, not a result. *)
+          Hbcheck.check hb;
+          if committed < n then
+            stalled ~slot:(wstart + committed)
+              ~speaker:(fst launches.(committed))
+              No_quorum
+          else waves_loop (wstart + n)
     in
-    Obs.Trace.with_span "netsim.run" (fun () ->
-        match cert with None -> slots 0 | Some c -> run_pipelined c)
+    Obs.Trace.with_span "netsim.run" (fun () -> waves_loop 0)
   end

@@ -40,9 +40,9 @@ type stats = {
   drops : int;  (** messages eaten by the drop fault *)
   crashed : int;  (** players dead by the end of the run *)
   waves : int;
-      (** network barriers paid: quiescence waits, one per slot
-          sequentially, one per wave when pipelined — the
-          simulated-network-depth measure E15 reports *)
+      (** network barriers paid: quiescence waits, one per wave (one
+          per slot without a certificate) — the simulated-network-depth
+          measure E15 reports *)
 }
 
 type stall_reason =
@@ -89,21 +89,24 @@ val run :
     [Net_drop] events stream out per message, and metrics land under the
     ["netsim.*"] prefix — both zero-cost when disabled.
 
-    [cert] switches on the {e pipelined} mode: all RBC instances of a
-    certificate wave go in flight concurrently over one shared network,
-    with a quiescence barrier only between waves (slots past the
-    analyzed range run as singleton waves; no certificate = the
-    sequential per-slot path). Payloads are still computed in slot
-    order, one [speak] per slot, against a scratch replay of the
-    committed board, so {e fault-free} pipelined runs stay
-    byte-identical to {!Blackboard.Engine.run}; the {!Hbcheck} oracle
-    watches the actual launch/deliver order and the run hard-errors
-    ([Failure]) if the certificate let a slot launch before a slot it
-    reads was delivered at its speaker. A crashed speaker stalls its
-    wave at its slot with the same typed [Stalled] outcome as the
-    sequential mode; slots of the wave before it are still committed.
-    Under fault injection the two modes may diverge (crash budgets and
-    drops hit a different interleaving); byte-identity is only
-    contracted fault-free. With tracing on, [Wave_start]/[Wave_end]
-    events bracket each wave.
+    Slots run in {e waves}: all RBC instances of a wave go in flight
+    concurrently over one shared network, with a quiescence barrier
+    only between waves ([stats.waves] counts them). [cert] gives the
+    waves (slots past its analyzed range run as singleton waves); an
+    absent [cert] means every slot is its own wave, one barrier per
+    write. Payloads are computed in slot order, one [speak] per slot,
+    against an uncharged scratch copy of the committed board (only
+    committed writes reach the board's [Broadcast] events and
+    ["board.*"] counters), so {e fault-free} runs are byte-identical to {!Blackboard.Engine.run}
+    with or without a certificate; the {!Hbcheck} oracle watches the
+    actual launch/deliver order and the run hard-errors ([Failure]) if
+    the certificate let a slot launch before a slot it reads was
+    delivered at its speaker. A crashed speaker stalls its wave at its
+    slot with a typed [Stalled]; slots of the wave before it are still
+    committed. Under fault injection different wave partitions may
+    diverge (crash budgets and drops hit a different interleaving);
+    byte-identity is only contracted fault-free. With tracing on, every
+    run emits [Wave_start]/[Wave_end] around each wave and
+    [Round_start]/[Round_end] around each slot's commit, after that
+    wave's RBC events.
     @raise Invalid_argument if [cert] fails {!Hbcheck.validate_cert}. *)

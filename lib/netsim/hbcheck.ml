@@ -79,22 +79,19 @@ type race = { slot : int; speaker : int; missing : int }
 type t = {
   cert : cert;
   k : int;
-  delivered : (int * int, unit) Hashtbl.t;  (** (slot, player) delivered *)
+  mutable delivered : bool array array;
+      (** per slot, which players delivered it ([[||]] = none yet) *)
   launched : (int, unit) Hashtbl.t;
   mutable races : race list;
-  mutable launches : int;
-  mutable deliveries : int;
 }
 
 let create cert ~k =
   {
     cert;
     k;
-    delivered = Hashtbl.create 64;
+    delivered = [||];
     launched = Hashtbl.create 16;
     races = [];
-    launches = 0;
-    deliveries = 0;
   }
 
 let race_message { slot; speaker; missing } =
@@ -103,27 +100,39 @@ let race_message { slot; speaker; missing } =
      was delivered at that player"
     slot speaker missing
 
-(* Slots past the analyzed range are treated as reading every earlier
-   slot — the conservative fallback the pipelined runtime also applies
-   (it runs them as singleton waves). *)
-let reads_of t slot =
-  if slot < t.cert.slots then t.cert.reads.(slot)
-  else Array.init slot Fun.id
+let delivered_at t ~slot ~player =
+  slot < Array.length t.delivered
+  &&
+  let d = t.delivered.(slot) in
+  Array.length d > 0 && d.(player)
 
+(* Slots past the analyzed range are treated as reading every earlier
+   slot — the conservative fallback the emulation also applies (it runs
+   them as singleton waves). *)
 let note_launch t ~slot ~speaker =
   if not (Hashtbl.mem t.launched slot) then begin
     Hashtbl.replace t.launched slot ();
-    t.launches <- t.launches + 1;
-    Array.iter
-      (fun s ->
-        if not (Hashtbl.mem t.delivered (s, speaker)) then
-          t.races <- { slot; speaker; missing = s } :: t.races)
-      (reads_of t slot)
+    let read s =
+      if not (delivered_at t ~slot:s ~player:speaker) then
+        t.races <- { slot; speaker; missing = s } :: t.races
+    in
+    if slot < t.cert.slots then Array.iter read t.cert.reads.(slot)
+    else
+      for s = 0 to slot - 1 do
+        read s
+      done
   end
 
 let note_deliver t ~slot ~player =
-  Hashtbl.replace t.delivered (slot, player) ();
-  t.deliveries <- t.deliveries + 1
+  let n = Array.length t.delivered in
+  if slot >= n then begin
+    let grown = Array.make (max (slot + 1) (2 * n)) [||] in
+    Array.blit t.delivered 0 grown 0 n;
+    t.delivered <- grown
+  end;
+  if Array.length t.delivered.(slot) = 0 then
+    t.delivered.(slot) <- Array.make t.k false;
+  t.delivered.(slot).(player) <- true
 
 let observe t payload =
   match payload with

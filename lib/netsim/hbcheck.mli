@@ -43,6 +43,9 @@ val race_message : race -> string
 type t
 
 val create : cert -> k:int -> t
+(** A checker for [k] players: every [speaker] and [player] fed to it
+    lies in [0, k), and every slot is non-negative. *)
+
 val note_launch : t -> slot:int -> speaker:int -> unit
 (** Record the initial SEND fan-out of a slot's RBC instance
     (idempotent per slot); checks the slot's read-set at this moment. *)

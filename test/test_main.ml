@@ -13,6 +13,7 @@ let () =
       ("board", Test_board.suite);
       ("engine", Test_engine.suite);
       ("netsim", Test_netsim.suite);
+      ("pinned", Test_pinned.suite);
       ("proto", Test_proto.suite);
       ("hard-dist", Test_hard_dist.suite);
       ("disjointness", Test_disj.suite);

@@ -580,6 +580,50 @@ let t_obs_event_accounting () =
   | Ok (Emu.Stalled _), _ -> Alcotest.fail "unexpected stall"
   | Error err, _ -> Alcotest.fail (Emu.error_message err)
 
+let t_obs_board_accounting () =
+  (* The "board.*" counters and the Broadcast events charge every
+     delivered write exactly once, with or without a certificate:
+     payloads a wave computes ahead of its commit are not board
+     writes. *)
+  List.iter
+    (fun e ->
+      List.iter
+        (fun (mode, cert) ->
+          let label what = Printf.sprintf "%s %s: %s" (Reg.name e) mode what in
+          let metrics = Obs.Metrics.create () in
+          let events = ref 0 and event_bits = ref 0 in
+          let sink =
+            Obs.Sink.custom (fun ev ->
+                match ev.Obs.Event.payload with
+                | Obs.Event.Broadcast { bits; _ } ->
+                    incr events;
+                    event_bits := !event_bits + bits
+                | _ -> ())
+          in
+          Obs.Metrics.install metrics;
+          let result =
+            Fun.protect ~finally:Obs.Metrics.uninstall (fun () ->
+                Obs.Trace.with_sink sink (fun () ->
+                    run_async_pipe e ~seed:3 ~net_seed:17 ~faults:Fault.none
+                      ~f:(f_for_entry e) ~cert))
+          in
+          match result with
+          | Ok (Emu.Delivered { board; _ }), _ ->
+              let snap = Obs.Metrics.snapshot metrics in
+              let counter = Obs.Metrics.counter_value snap in
+              Alcotest.(check int) (label "board.bits") (B.total_bits board)
+                (counter "board.bits");
+              Alcotest.(check int) (label "board.messages")
+                (B.write_count board)
+                (counter "board.messages");
+              Alcotest.(check int) (label "Broadcast event bits")
+                (B.total_bits board) !event_bits;
+              Alcotest.(check int) (label "Broadcast events")
+                (B.write_count board) !events
+          | _ -> Alcotest.fail (label "the fault-free run must deliver"))
+        [ ("uncertified", None); ("certified", cert_for e) ])
+    (Reg.all ())
+
 let t_obs_silent_when_disabled () =
   (* No sink, no metrics: a faulty run emits nothing and still works. *)
   let e = Option.get (Reg.find "and/sequential") in
@@ -622,5 +666,7 @@ let suite =
       t_hbcheck_observe_replay;
     quick "obs: per-message events reproduce the stats"
       t_obs_event_accounting;
+    quick "obs: board counters charge delivered writes once"
+      t_obs_board_accounting;
     quick "obs: silent when disabled" t_obs_silent_when_disabled;
   ]
