@@ -185,6 +185,15 @@ let null_sink_alloc_check () =
   Exp_util.note "  guarded netsim Rbc_echo emit: %.5f   (expected: ~0)"
     guarded_netsim_emit
 
+(* Mean wall time of [f] over [reps] back-to-back calls, for the
+   regression guards below. *)
+let per_iter reps f =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to reps do
+    f ()
+  done;
+  (Unix.gettimeofday () -. t0) /. float_of_int reps
+
 (* Regression guard for the word-aligned Bitvec fast path (PR 9): the
    56-bit [word_at] scan must beat the bit-at-a-time loop it replaced
    in the disjointness solvers. Measured directly (not via bechamel)
@@ -200,13 +209,6 @@ let bitvec_word_regression () =
   in
   let words = Coding.Bitvec.word_count v in
   let sink = ref 0 in
-  let per_iter reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
   let word_t =
     per_iter 2000 (fun () ->
         for w = 0 to words - 1 do
@@ -239,13 +241,6 @@ let orbit_ic_regression () =
   let mu = Protocols.Hard_dist.mu_and ~k in
   let mu_orbit = Protocols.Hard_dist.mu_and_orbit ~k in
   let sink = ref 0.0 in
-  let per_iter reps f =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
   let direct_t =
     per_iter 3 (fun () -> sink := Proto.Information.external_ic tree mu)
   in
@@ -259,6 +254,36 @@ let orbit_ic_regression () =
   Exp_util.note
     "orbit-collapsed vs direct external_ic at k=%d: %.0fx faster (%.2f vs %.2f ms/run)"
     k speedup (orbit_t *. 1e3) (direct_t *. 1e3);
+  ignore !sink
+
+(* Regression guard for exact division by the gcd in
+   [Rational.canonical]: on a 6-limb multiple of a 3-limb divisor, the
+   Jebelean kernel behind [Bigint.div_exact] must beat the
+   one-bit-per-pass long division of [Bigint.div] it replaced there.
+   Both give the same quotient (held equal by test_bigint). *)
+let exact_div_regression () =
+  let limbs salt n =
+    let rec go i acc =
+      if i = n then acc
+      else
+        go (i + 1)
+          (Exact.Bigint.add (Exact.Bigint.shift_left acc 30)
+             (Exact.Bigint.of_int ((salt + (i * 0x9e3779b1)) land 0x3fffffff)))
+    in
+    go 1 (Exact.Bigint.of_int ((1 lsl 29) lor salt))
+  in
+  let d = limbs 977 3 in
+  let a = Exact.Bigint.mul d (limbs 31 3) in
+  assert (Exact.Bigint.equal (Exact.Bigint.div a d) (Exact.Bigint.div_exact a d));
+  let sink = ref Exact.Bigint.zero in
+  let div_t = per_iter 2_000 (fun () -> sink := Exact.Bigint.div a d) in
+  let exact_t = per_iter 200_000 (fun () -> sink := Exact.Bigint.div_exact a d) in
+  let speedup = div_t /. exact_t in
+  assert (speedup > 1.0);
+  Exp_util.record_f "exact_div_speedup" speedup;
+  Exp_util.note
+    "div_exact vs div, 6-limb multiple of a 3-limb divisor: %.0fx faster (%.0f vs %.0f ns/div)"
+    speedup (exact_t *. 1e9) (div_t *. 1e9);
   ignore !sink
 
 let run () =
@@ -304,4 +329,5 @@ let run () =
        rows);
   null_sink_alloc_check ();
   bitvec_word_regression ();
-  orbit_ic_regression ()
+  orbit_ic_regression ();
+  exact_div_regression ()

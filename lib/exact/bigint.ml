@@ -203,9 +203,11 @@ let div_mod_mag_small a d =
   done;
   (normalize q, !rem)
 
-(* Schoolbook long division on magnitudes, one quotient bit at a time.
-   Adequate for the sizes this library sees (a few thousand bits);
-   single-limb divisors take the word-wise fast path. *)
+(* Schoolbook long division on magnitudes, one quotient bit at a time,
+   with a fresh shift, add and subtract per bit; single-limb divisors
+   take the word-wise fast path. Exact quotients (a rational reduced by
+   its gcd) go through [div_exact] instead, which costs one multiply
+   pass per quotient limb. *)
 let div_mod_mag a b =
   if mag_is_zero b then raise Division_by_zero;
   if Array.length b = 1 then begin
@@ -338,47 +340,6 @@ let mag_fits_int mag = num_bits_mag mag <= 62
 
 let mag_to_int mag = Array.fold_right (fun limb acc -> (acc * base) + limb) mag 0
 
-(* Binary (Stein) GCD on magnitudes. Compared to Euclid over [div_mod]
-   — whose multi-limb path peels one quotient bit per iteration, each
-   with a full-magnitude shift/compare/subtract — every iteration here
-   is a single subtract and a trailing-zero shift, and word-size
-   operands drop to native-int Euclid immediately. *)
-let gcd a b =
-  let a = a.mag and b = b.mag in
-  if mag_is_zero a then make 1 b
-  else if mag_is_zero b then make 1 a
-  else if mag_fits_int a && mag_fits_int b then
-    of_int (int_gcd (mag_to_int a) (mag_to_int b))
-  else begin
-    let za = ctz_mag a and zb = ctz_mag b in
-    let shift = Stdlib.min za zb in
-    let a = ref (shift_right_mag a za) in
-    let b = ref (shift_right_mag b zb) in
-    (* both odd from here on; the loop keeps them odd *)
-    let continue = ref true in
-    while !continue do
-      if mag_fits_int !a && mag_fits_int !b then begin
-        a := (of_int (int_gcd (mag_to_int !a) (mag_to_int !b))).mag;
-        continue := false
-      end
-      else begin
-        let c = cmp_mag !a !b in
-        if c = 0 then continue := false
-        else begin
-          if c < 0 then begin
-            let t = !a in
-            a := !b;
-            b := t
-          end;
-          let d = sub_mag !a !b in
-          (* d > 0 and even: both were odd *)
-          a := shift_right_mag d (ctz_mag d)
-        end
-      end
-    done;
-    make 1 (shift_left_mag !a shift)
-  end
-
 let num_bits x = num_bits_mag x.mag
 let testbit x i = testbit_mag x.mag i
 
@@ -479,10 +440,12 @@ let binomial n k =
 
 module Acc = struct
   (* A non-negative integer held in a growable limb buffer, mutated in
-     place. Built for the running-binomial scans in the subset codec:
-     each step multiplies by one small factor and exactly divides by
-     another, and doing both in place removes the two fresh magnitude
-     arrays per step that the immutable API would allocate. *)
+     place, so a loop of arithmetic steps allocates nothing per step.
+     Two kinds of loop use it: the running-binomial scans in the subset
+     codec (each step multiplies by one small factor and exactly
+     divides by another), and [div_exact] and [gcd] below, which run
+     the Jebelean exact division and the Stein loop on private copies
+     of their operands. *)
   type acc = { mutable mag : int array; mutable len : int }
   (* Invariant: limbs [0, len) hold the value LSB-first with no
      trailing zero limb ([len = 0] is zero); limbs at or beyond [len]
@@ -806,6 +769,71 @@ module Acc = struct
       Float.log2 v +. float_of_int ((Stdlib.max 0 (a.len - 2)) * base_bits)
     end
 end
+
+(* ------------------------------------------------------------------ *)
+(* Exact division and GCD, in place on accumulators.                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A private accumulator over a copy of a non-empty magnitude. The
+   kernels below only shrink it, so the buffer is never regrown and
+   [acc_mag] can hand it back without a copy when nothing was cut. *)
+let acc_of_mag m = { Acc.mag = Array.copy m; len = Array.length m }
+
+let acc_mag (x : Acc.acc) =
+  if x.len = Array.length x.mag then x.mag else Array.sub x.mag 0 x.len
+
+let div_exact a d =
+  if d.sign = 0 then raise Division_by_zero;
+  if a.sign = 0 then zero
+  else begin
+    (* The power of two in [d] comes out as a shift, the odd part by
+       the Jebelean kernel: one multiply pass per quotient limb. *)
+    let q = acc_of_mag a.mag and s = ctz_mag d.mag in
+    (try
+       Acc.shift_right_exact q s;
+       let odd = shift_right_mag d.mag s in
+       if Array.length odd = 1 then Acc.div_exact_small q odd.(0)
+       else Acc.div_exact_acc q { Acc.mag = odd; len = Array.length odd }
+     with Invalid_argument _ -> invalid_arg "Bigint.div_exact: not divisible");
+    make (a.sign * d.sign) (acc_mag q)
+  end
+
+(* [mag_fits_int] in O(1): at most 62 bits. *)
+let acc_fits_int (x : Acc.acc) = x.len < 3 || (x.len = 3 && x.mag.(2) < 4)
+
+(* Binary (Stein) GCD. Euclid over [div_mod] would peel one quotient
+   bit per iteration on multi-limb operands; here every iteration is
+   one subtract and one trailing-zero shift, both in place on two
+   accumulators, so no step allocates. Word-size operands drop to
+   native-int Euclid, on entry and as soon as the loop reaches them. *)
+let gcd a b =
+  let a = a.mag and b = b.mag in
+  if mag_is_zero a then make 1 b
+  else if mag_is_zero b then make 1 a
+  else if mag_fits_int a && mag_fits_int b then
+    of_int (int_gcd (mag_to_int a) (mag_to_int b))
+  else begin
+    let za = ctz_mag a and zb = ctz_mag b in
+    let x = acc_of_mag a and y = acc_of_mag b in
+    Acc.shift_right_exact x za;
+    Acc.shift_right_exact y zb;
+    (* both odd from here on; the loop keeps them odd *)
+    let rec loop (x : Acc.acc) (y : Acc.acc) =
+      if acc_fits_int x && acc_fits_int y then
+        (of_int (int_gcd (mag_to_int (acc_mag x)) (mag_to_int (acc_mag y)))).mag
+      else
+        let c = Acc.compare_acc x y in
+        if c = 0 then acc_mag x
+        else if c > 0 then step x y
+        else step y x
+    and step x y =
+      (* x > y, both odd: x - y is positive and even *)
+      Acc.sub_acc x y;
+      Acc.shift_right_exact x (ctz_mag x.Acc.mag);
+      loop x y
+    in
+    make 1 (shift_left_mag (loop x y) (Stdlib.min za zb))
+  end
 
 let binomial_acc n k =
   (* Same iteration as {!binomial}, on an in-place accumulator: two

@@ -63,6 +63,15 @@ val div_mod : t -> t -> t * t
 val div : t -> t -> t
 val rem : t -> t -> t
 
+val div_exact : t -> t -> t
+(** [div_exact a d] is [a / d] for a [d] known to divide [a] (the sign
+    is [sign a * sign d]). The power of two in [d] comes out as a shift
+    and the odd part by Jebelean's LSB-first exact division (the
+    {!Acc} kernels): one multiply pass per quotient limb, where {!div}
+    peels one quotient bit per pass on a multi-limb divisor.
+    @raise Invalid_argument if [d] does not divide [a].
+    @raise Division_by_zero if [d] is zero. *)
+
 val pow : t -> int -> t
 (** [pow x n] for [n >= 0]. @raise Invalid_argument on negative exponent. *)
 
@@ -71,9 +80,11 @@ val shift_right : t -> int -> t
 
 val gcd : t -> t -> t
 (** Greatest common divisor of the absolute values; [gcd zero zero = zero].
-    Binary (Stein) GCD with a native-int Euclid fast path for word-size
-    operands; differentially tested against the reference Euclid
-    implementation in {!For_testing}. *)
+    Binary (Stein) GCD run in place on two {!Acc} buffers (a subtract
+    and a trailing-zero shift per step, no allocation per step), with a
+    native-int Euclid exit once both operands fit a word; differentially
+    tested against the reference Euclid implementation in
+    {!For_testing}. *)
 
 (** {1 Number-theoretic helpers} *)
 
@@ -95,9 +106,10 @@ val log2_approx : t -> float
 (** {1 In-place accumulator}
 
     A mutable non-negative integer for multiply-small / divide-small
-    scan loops (running binomials in the subset codec). All operations
-    mutate in place over a growable limb buffer, so a whole scan costs
-    two allocations (create + [to_t]) instead of two per step. *)
+    scan loops (running binomials in the subset codec); {!div_exact} and
+    {!gcd} run on the same kernels internally. All operations mutate in
+    place over a growable limb buffer, so a whole scan costs two
+    allocations (create + [to_t]) instead of two per step. *)
 
 module Acc : sig
   type acc

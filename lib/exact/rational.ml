@@ -50,7 +50,8 @@ let canonical num den =
       else (num, den)
     in
     let g = Bigint.gcd num den in
-    demote (Bigint.div num g) (Bigint.div den g)
+    if Bigint.equal g Bigint.one then demote num den
+    else demote (Bigint.div_exact num g) (Bigint.div_exact den g)
   end
 
 let make = canonical
@@ -86,7 +87,18 @@ let to_float = function
       (* |n|, d <= 2^30 < 2^53: both conversions and the division are
          exactly the floats the bigint path would produce *)
       float_of_int n /. float_of_int d
-  | B { num; den } -> Bigint.to_float num /. Bigint.to_float den
+  | B { num; den } ->
+      let bn = Bigint.num_bits num and bd = Bigint.num_bits den in
+      if bn < 1024 && bd < 1024 then Bigint.to_float num /. Bigint.to_float den
+      else begin
+        (* A side of 1024 bits or more is [infinity] as a float: divide
+           the top 62 bits of each side and scale by the bits dropped. *)
+        let drop_n = Stdlib.max 0 (bn - 62) and drop_d = Stdlib.max 0 (bd - 62) in
+        Float.ldexp
+          (Bigint.to_float (Bigint.shift_right num drop_n)
+          /. Bigint.to_float (Bigint.shift_right den drop_d))
+          (drop_n - drop_d)
+      end
 
 let of_float_dyadic f =
   if not (Float.is_finite f) then invalid_arg "Rational.of_float_dyadic";

@@ -34,6 +34,11 @@ val num : t -> Bigint.t
 val den : t -> Bigint.t
 
 val to_float : t -> float
+(** A float within a few ulps of the value. Finite for every value
+    inside the float range, whatever the size of its numerator and
+    denominator: a side of 1024 bits or more is cut to its top 62 bits
+    before the division and the result rescaled by [Float.ldexp]. *)
+
 val of_float_dyadic : float -> t
 (** Exact dyadic rational equal to the given (finite) float.
     @raise Invalid_argument on nan/infinite input. *)

@@ -297,6 +297,53 @@ let prop_gcd_shifted =
       let bb = B.shift_left (B.of_int b) (sh / 2) in
       B.equal (B.gcd ba bb) (BT.gcd_euclid ba bb))
 
+let odd v = if B.testbit v 0 then v else B.add v B.one
+
+let prop_div_exact_matches_div =
+  (* planted multiples [q * d]: single-limb, multi-limb odd, multi-limb
+     even and power-of-two divisors, either sign on either side *)
+  qtest "div_exact = div on planted multiples" ~count:200
+    (QCheck.quad (QCheck.int_range 0 3) (QCheck.int_range 0 8)
+       (QCheck.pair QCheck.bool QCheck.bool)
+       (QCheck.int_range 0 1000000))
+    (fun (kind, lq, (neg_q, neg_d), salt) ->
+      let d =
+        match kind with
+        | 0 -> B.of_int (1 + (salt * 7919 mod ((1 lsl 30) - 1)))
+        | 1 -> odd (value_of_limbs ~salt (2 + (salt mod 5)))
+        | 2 ->
+            B.shift_left
+              (odd (value_of_limbs ~salt (2 + (salt mod 4))))
+              (1 + (salt mod 61))
+        | _ -> B.shift_left B.one (salt mod 200)
+      in
+      let q = if lq = 0 then B.zero else value_of_limbs ~salt:(salt + 5) lq in
+      let d = if neg_d then B.neg d else d in
+      let q = if neg_q then B.neg q else q in
+      let a = B.mul q d in
+      let e = B.div_exact a d in
+      B.equal e (B.div a d) && B.equal e q)
+
+let t_div_exact_not_multiple () =
+  let raises msg a d =
+    Alcotest.check_raises msg
+      (Invalid_argument "Bigint.div_exact: not divisible") (fun () ->
+        ignore (B.div_exact a d))
+  in
+  let d = odd (value_of_limbs ~salt:41 3) and q = value_of_limbs ~salt:7 4 in
+  let a = B.mul q d in
+  raises "multi-limb, off in the low limb" (B.add a B.one) d;
+  raises "multi-limb, off in the top limb"
+    (B.add a (B.shift_left B.one (30 * (BT.limb_count a - 1))))
+    d;
+  raises "multi-limb, dividend below divisor" (B.sub d B.one) d;
+  raises "even divisor, odd dividend" (B.add (B.shift_left a 3) B.one)
+    (B.shift_left d 3);
+  raises "single limb" (B.of_int 10) (B.of_int 3);
+  raises "power of two" (B.of_int 12) (B.of_int 8);
+  Alcotest.check_raises "zero divisor" Division_by_zero (fun () ->
+      ignore (B.div_exact B.one B.zero))
+
 (* ------------------------------------------------------------------ *)
 (* The in-place accumulator vs the immutable API.                     *)
 (* ------------------------------------------------------------------ *)
@@ -469,6 +516,8 @@ let suite =
     quick "binary gcd = Euclid at word-size edges" t_gcd_binary_matches_euclid_edges;
     prop_gcd_binary_matches_euclid;
     prop_gcd_shifted;
+    prop_div_exact_matches_div;
+    quick "div_exact of a non-multiple raises" t_div_exact_not_multiple;
     prop_acc_mul_small_matches;
     prop_acc_mul_div_roundtrip;
     prop_acc_div_matches_div;

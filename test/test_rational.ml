@@ -53,6 +53,25 @@ let t_log2 () =
   check_float ~msg:"log2 tiny" (-2000.) (R.log2 (R.pow R.half 2000));
   check_float ~msg:"log2 huge" 3000. (R.log2 (R.of_bigint (B.pow B.two 3000)))
 
+let t_to_float_wide () =
+  (* A side of 1024 bits or more is infinite as a float; the value
+     itself is well inside the float range and must come out finite. *)
+  let near ~msg want_log2 x =
+    let f = R.to_float x in
+    if not (Float.is_finite f) then Alcotest.failf "%s: %h is not finite" msg f;
+    check_float ~msg want_log2 (Float.log2 (Float.abs f))
+  in
+  (* both sides past 1024 bits: 3^700 / 2^1400 *)
+  near ~msg:"(3/4)^700" (700. *. Float.log2 0.75) (R.pow (R.of_ints 3 4) 700);
+  near ~msg:"-(3/4)^700" (700. *. Float.log2 0.75)
+    (R.neg (R.pow (R.of_ints 3 4) 700));
+  (* numerator alone past 1024 bits *)
+  near ~msg:"2^1100 / 3^600"
+    (1100. -. (600. *. Float.log2 3.))
+    (R.make (B.shift_left B.one 1100) (B.pow (B.of_int 3) 600));
+  Alcotest.(check bool) "sign kept" true
+    (R.to_float (R.neg (R.pow (R.of_ints 3 4) 700)) < 0.)
+
 let t_sum () =
   check_rational ~msg:"sum thirds" R.one
     (R.sum [ R.of_ints 1 3; R.of_ints 1 3; R.of_ints 1 3 ])
@@ -79,11 +98,6 @@ let prop_inv_involution =
   qtest "inv is an involution" rat_gen (fun a ->
       QCheck.assume (not (R.is_zero a));
       R.equal a (R.inv (R.inv a)))
-
-let prop_canonical_gcd =
-  qtest "canonical form is reduced" rat_gen (fun a ->
-      R.is_zero a
-      || B.equal B.one (B.gcd (R.num a) (R.den a)))
 
 let prop_compare_consistent_with_float =
   qtest "compare agrees with float compare"
@@ -118,6 +132,35 @@ let boundary_rat_gen =
     (QCheck.triple (QCheck.int_range (-4) 4) (QCheck.int_range (-4) 4)
        QCheck.bool)
 
+(* A positive value of 3-8 random limbs, top limb nonzero. *)
+let multi_limb_gen =
+  let open QCheck.Gen in
+  let limb = int_bound ((1 lsl 30) - 1) in
+  int_range 2 7 >>= fun low ->
+  map2
+    (fun top rest ->
+      List.fold_left
+        (fun acc l -> B.add (B.shift_left acc 30) (B.of_int l))
+        (B.of_int top) rest)
+    (int_range 1 ((1 lsl 30) - 1))
+    (list_repeat low limb)
+
+(* [p*g / q*g] with a multi-limb common factor [g], odd or carrying a
+   power of two, so canonicalization divides by a gcd of three or more
+   limbs. *)
+let common_factor_rat_gen =
+  let open QCheck.Gen in
+  let odd g = if B.testbit g 0 then g else B.add g B.one in
+  QCheck.make ~print:R.to_string
+    (map3
+       (fun (p, q) (g, twos) neg ->
+         let g = B.shift_left (odd g) twos in
+         let p = B.mul p g and q = B.mul q g in
+         R.make (if neg then B.neg p else p) q)
+       (pair multi_limb_gen multi_limb_gen)
+       (pair multi_limb_gen (frequency [ (1, return 0); (1, int_range 1 70) ]))
+       bool)
+
 (* Mix of comfortably-small, boundary, and clearly-big magnitudes. *)
 let mixed_rat_gen =
   QCheck.oneof
@@ -128,7 +171,14 @@ let mixed_rat_gen =
             (B.mul (B.of_int a) (B.of_int ((1 lsl 40) + 9)))
             (B.of_int (1 + abs b)))
         (QCheck.pair (QCheck.int_range (-1000) 1000) (QCheck.int_range 0 1000));
+      common_factor_rat_gen;
     ]
+
+let prop_canonical_gcd =
+  qtest "canonical form is reduced" mixed_rat_gen (fun a ->
+      B.sign (R.den a) > 0
+      && (R.is_zero a
+         || B.equal B.one (B.For_testing.gcd_euclid (R.num a) (R.den a))))
 
 let prop_canonical_representation =
   qtest "small values always demote to the word representation"
@@ -235,6 +285,7 @@ let suite =
     quick "zero denominators" t_zero_den;
     quick "of_float_dyadic" t_of_float_dyadic;
     quick "log2" t_log2;
+    quick "to_float past 1024-bit sides" t_to_float_wide;
     quick "sum" t_sum;
     prop_add_comm;
     prop_add_assoc;
