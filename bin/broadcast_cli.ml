@@ -69,6 +69,14 @@ let resolve_entries cmd names =
               exit 2)
         names
 
+(* The analyzers' node budget (analyze, verify): a non-positive one is
+   a usage error (exit 2), not an uncaught Invalid_argument. *)
+let check_budget cmd = function
+  | Some b when b < 1 ->
+      Printf.eprintf "%s: --budget must be positive, got %d\n" cmd b;
+      exit 2
+  | Some _ | None -> ()
+
 type instance_kind = Disjoint | Intersecting | Dense | Full | Empty
 
 let instance_arg =
@@ -964,6 +972,7 @@ let analyze_cmd =
   let module Reg = Protocols.Registry in
   let module Dg = Analysis.Depgraph in
   let run deps json budget protocols =
+    check_budget "analyze" budget;
     let entries = resolve_entries "analyze" protocols in
     let analyzed =
       List.map
@@ -1068,6 +1077,7 @@ let verify_cmd =
   let module Rep = Analysis.Report in
   let module Ab = Analysis.Absint in
   let run budget seed baseline ic sched json out jobs protocols metrics =
+    check_budget "verify" budget;
     let entries = resolve_entries "verify" protocols in
     let baseline =
       match baseline with

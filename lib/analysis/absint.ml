@@ -21,14 +21,14 @@
       leaves together with their rectangles, which partition the input
       space and are what {!Certify} checks a declared spec against.
 
-    The traversal walks the unfolded tree. A node budget keeps it total
-    on blow-up (DAG-shared) trees: past the budget each remaining
-    subtree is {e widened} to the trivially sound summary
-    [\[0, structural max\]] with reachability top, and the analysis
-    reports itself inconclusive for certification purposes. Nodes
-    visited and widenings performed flow into {!Obs.Metrics} (keys
-    [absint.*]) and the whole analysis runs in an [absint/analyze]
-    trace span when a sink is installed. *)
+    The traversal walks the unfolded tree with {!Walk}'s shared node
+    budget, law split and rectangle refinement (DESIGN.md §9): past the
+    budget each remaining subtree is {e widened} to the trivially sound
+    summary [\[0, structural max\]], a raising law sends its node to
+    reachability top, and either makes certification inconclusive.
+    Nodes visited and widenings performed flow into {!Obs.Metrics}
+    (keys [absint.*]) and the walk runs in an [absint/analyze] trace
+    span when a sink is installed. *)
 
 module D = Prob.Dist_exact
 module R = Exact.Rational
@@ -73,37 +73,28 @@ let rect_profiles rect =
       if acc > max_int / (max n 1) then max_int else acc * n)
     1 rect
 
+(* The hull of a running interval (if any) and one more. *)
+let join acc iv =
+  match acc with
+  | None -> Some iv
+  | Some a -> Some { lo = min a.lo iv.lo; hi = max a.hi iv.hi }
+
 let analyze ?(budget = default_budget) ?players ~domain tree =
-  if Array.length domain = 0 then invalid_arg "Absint.analyze: empty domain";
-  if budget < 1 then invalid_arg "Absint.analyze: budget must be positive";
-  let players =
-    (* The rectangle needs one axis per speaker even if the declared
-       player count is too small; soundness beats the declaration. *)
-    let inferred = Walk.inferred_players tree in
-    match players with Some k -> max k inferred | None -> inferred
-  in
+  let walk = Walk.start ~name:"absint" ?players ~budget ~domain tree in
   let struct_max = T.communication_cost tree in
-  let nodes = ref 0
-  and widenings = ref 0
-  and law_failures = ref 0 in
+  let widenings = ref 0 in
   let dead = ref []
   and leaves = ref [] in
-  let deterministic = ref true
-  and widened = ref false in
-  let all_indices = List.init (Array.length domain) Fun.id in
-  let full_rect = Array.init players (fun _ -> all_indices) in
   let rec go path rect t =
-    if !nodes >= budget then begin
+    if not (Walk.tick walk) then begin
       (* Widening: summarize the whole remaining subtree by the
          trivially sound interval. The structural max of the full tree
          bounds every suffix cost (a suffix extends to a root-to-leaf
          path of at least its own cost). *)
       incr widenings;
-      widened := true;
       { lo = 0; hi = struct_max }
     end
-    else begin
-      incr nodes;
+    else
       match t with
       | T.Output v ->
           leaves := { leaf_path = path; output = v; rect } :: !leaves;
@@ -116,68 +107,24 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
               else dead := Path.child path i :: !dead)
             children;
           let live = List.rev !live in
-          if List.length live > 1 then deterministic := false;
+          if List.length live > 1 then walk.deterministic <- false;
           List.fold_left
-            (fun acc (i, c) ->
-              let iv = go (Path.child path i) rect c in
-              match acc with
-              | None -> Some iv
-              | Some a -> Some { lo = min a.lo iv.lo; hi = max a.hi iv.hi })
+            (fun acc (i, c) -> join acc (go (Path.child path i) rect c))
             None live
           |> Option.value ~default:{ lo = 0; hi = 0 }
       | T.Speak { speaker; emit; children } ->
           let arity = Array.length children in
           let charge = T.bits_of_arity arity in
-          (* Which of the speaker's still-live inputs can emit each
-             symbol. Reversed-cons over an ascending index list keeps
-             each child's live set sorted after the final reverse. *)
-          let child_live = Array.make arity [] in
-          let top = ref false in
-          List.iter
-            (fun ix ->
-              match emit domain.(ix) with
-              | d ->
-                  let supp =
-                    List.filter (fun s -> R.sign (D.prob_of d s) > 0) (D.support d)
-                  in
-                  if List.length supp > 1 then deterministic := false;
-                  List.iter
-                    (fun s ->
-                      if s >= 0 && s < arity then
-                        child_live.(s) <- ix :: child_live.(s)
-                      else
-                        (* Out-of-arity mass has no continuation; the
-                           tree is malformed (support-in-arity reports
-                           it) and certification must not trust it. *)
-                        incr law_failures)
-                    supp
-              | exception _ ->
-                  (* A raising law could emit anything: go to top for
-                     this input so reachability stays an over-
-                     approximation. *)
-                  incr law_failures;
-                  deterministic := false;
-                  top := true)
-            rect.(speaker);
-          if !top then
-            Array.iteri
-              (fun m _ -> child_live.(m) <- List.rev rect.(speaker))
-              child_live;
+          let live = Walk.refine walk ~count:true emit ~arity rect.(speaker) in
           let acc = ref None in
           Array.iteri
             (fun m c ->
-              match child_live.(m) with
+              match live.(m) with
               | [] -> dead := Path.child path m :: !dead
               | live_ix ->
                   let rect' = Array.copy rect in
-                  rect'.(speaker) <- List.rev live_ix;
-                  let iv = go (Path.child path m) rect' c in
-                  acc :=
-                    Some
-                      (match !acc with
-                      | None -> iv
-                      | Some a ->
-                          { lo = min a.lo iv.lo; hi = max a.hi iv.hi }))
+                  rect'.(speaker) <- live_ix;
+                  acc := join !acc (go (Path.child path m) rect' c))
             children;
           (match !acc with
           | None ->
@@ -187,28 +134,22 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
                  lost profiles. *)
               { lo = charge; hi = charge }
           | Some a -> { lo = charge + a.lo; hi = charge + a.hi })
-    end
   in
-  let run () = go Path.root full_rect tree in
   let cost =
-    if Obs.Trace.enabled () then Obs.Trace.with_span "absint/analyze" run
-    else run ()
+    Walk.run walk (fun () -> go Path.root (Walk.full_rect walk) tree)
   in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "absint.runs" 1;
-    Obs.Metrics.bump "absint.nodes" !nodes;
-    Obs.Metrics.bump "absint.widenings" !widenings
-  end;
+  if Obs.Metrics.enabled () then
+    Obs.Metrics.bump "absint.widenings" !widenings;
   {
     cost = { cost with hi = min cost.hi struct_max };
     struct_max;
-    nodes = !nodes;
+    nodes = walk.nodes;
     widenings = !widenings;
     dead = List.sort_uniq Path.compare !dead;
-    deterministic = !deterministic && not !widened;
-    law_failures = !law_failures;
-    widened = !widened;
+    deterministic = walk.deterministic && not walk.widened;
+    law_failures = walk.law_failures;
+    widened = walk.widened;
     leaves = List.rev !leaves;
-    players;
+    players = walk.players;
     domain_size = Array.length domain;
   }

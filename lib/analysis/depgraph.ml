@@ -10,9 +10,10 @@
     per-slot barrier of an uncertified emulation is only required where
     a dependency edge crosses it.
 
-    The analysis walks the tree with the same exact per-player
-    reachability rectangles as {!Absint} (a branch declared dead is
-    proven dead, so proven-dead dependencies are pruned). At every
+    The analysis walks the tree with {!Walk}'s node budget and the same
+    exact per-player reachability rectangles as {!Absint} (a branch
+    declared dead is proven dead, so proven-dead dependencies are
+    pruned; a raising law sends its node to top). At every
     reachable [Speak] node with two or more live children it runs a
     {e matched descent} over each pair of live sibling subtrees: both
     subtrees are walked in lockstep, and as long as the slot signatures
@@ -77,56 +78,14 @@ let wave_of_slot waves slot =
   !w
 
 let analyze ?(budget = default_budget) ?players ~domain tree =
-  if Array.length domain = 0 then invalid_arg "Depgraph.analyze: empty domain";
-  if budget < 1 then invalid_arg "Depgraph.analyze: budget must be positive";
-  let players =
-    let inferred = Walk.inferred_players tree in
-    match players with Some k -> max k inferred | None -> inferred
-  in
+  let walk = Walk.start ~name:"depgraph" ?players ~budget ~domain tree in
   let max_slots = T.round_count tree in
   let n = max max_slots 1 in
   let deps = Array.make_matrix n n false in
   (* deps.(t).(s) = slot t may read slot s *)
   let speakers_at = Array.make n [] in
   let out_rel = Array.make n false in
-  let nodes = ref 0
-  and law_failures = ref 0
-  and max_slot_seen = ref 0 in
-  let widened = ref false in
-  let tick () =
-    if !nodes >= budget then begin
-      widened := true;
-      false
-    end
-    else begin
-      incr nodes;
-      true
-    end
-  in
-  (* Which of the speaker's inputs [ixs] stay live under each symbol of
-     [emit]. Raising laws go to top (every symbol keeps all inputs) so
-     liveness stays an over-approximation; [count] gates the failure
-     counter so the matched descent does not double-count laws the main
-     walk already reported. *)
-  let live_by_symbol ~count emit arity ixs =
-    let by = Array.make arity [] in
-    let top = ref false in
-    List.iter
-      (fun ix ->
-        match emit domain.(ix) with
-        | d ->
-            List.iter
-              (fun s ->
-                if R.sign (D.prob_of d s) > 0 then
-                  if s >= 0 && s < arity then by.(s) <- ix :: by.(s)
-                  else if count then incr law_failures)
-              (D.support d)
-        | exception _ ->
-            if count then incr law_failures;
-            top := true)
-      ixs;
-    if !top then Array.map (fun _ -> ixs) by else Array.map List.rev by
-  in
+  let max_slot_seen = ref 0 in
   (* Extensional equality of two message/coin laws on the first [arity]
      symbols, requiring all mass inside the arity. *)
   let dists_equal da db arity =
@@ -161,10 +120,12 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
   (* Matched descent over two live sibling subtrees of the Speak at slot
      [src] (branching speaker [v], whose live inputs are [la] in [a] and
      [lb] in [b]; every other player's axis is in [shared], where
-     [shared.(v)] is stale and never read). *)
+     [shared.(v)] is stale and never read). It spends the main walk's
+     node budget, and re-splits laws with [~count:false] so that it does
+     not double-count failures the main walk already reported. *)
   let rec cmp ~src ~v ~la ~lb ~shared ~slot a b =
     if a == b then ()
-    else if not (tick ()) then close_off ~src ~slot a b
+    else if not (Walk.tick walk) then close_off ~src ~slot a b
     else
       match (a, b) with
       | T.Output va, T.Output vb -> if va <> vb then out_rel.(src) <- true
@@ -187,7 +148,7 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
             let ixs = shared.(u) in
             if not (laws_equal ea eb arity ixs) then close_off ~src ~slot a b
             else
-              let by = live_by_symbol ~count:false ea arity ixs in
+              let by = Walk.refine walk ~count:false ea ~arity ixs in
               Array.iteri
                 (fun m live_m ->
                   if live_m <> [] then begin
@@ -204,8 +165,8 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
                the same in both branches; recurse per symbol live in
                both (a symbol live in only one branch has no sibling
                pair to distinguish). *)
-            let by_a = live_by_symbol ~count:false ea arity la in
-            let by_b = live_by_symbol ~count:false eb arity lb in
+            let by_a = Walk.refine walk ~count:false ea ~arity la in
+            let by_b = Walk.refine walk ~count:false eb ~arity lb in
             for m = 0 to arity - 1 do
               match (by_a.(m), by_b.(m)) with
               | [], _ | _, [] -> ()
@@ -217,7 +178,7 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
       | _ -> close_off ~src ~slot a b
   in
   let rec go ~slot rect t =
-    if tick () then
+    if Walk.tick walk then
       match t with
       | T.Output _ -> if slot > !max_slot_seen then max_slot_seen := slot
       | T.Chance { coin; children } ->
@@ -229,7 +190,7 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
           if slot < n && not (List.mem speaker speakers_at.(slot)) then
             speakers_at.(slot) <- speaker :: speakers_at.(slot);
           let arity = Array.length children in
-          let by = live_by_symbol ~count:true emit arity rect.(speaker) in
+          let by = Walk.refine walk ~count:true emit ~arity rect.(speaker) in
           let live = ref [] in
           Array.iteri
             (fun m l -> if l <> [] then live := (m, l) :: !live)
@@ -256,16 +217,8 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
               go ~slot:(slot + 1) rect' children.(m))
             live
   in
-  let all_indices = List.init (Array.length domain) Fun.id in
-  let full_rect = Array.init players (fun _ -> all_indices) in
-  let run () = go ~slot:0 full_rect tree in
-  if Obs.Trace.enabled () then Obs.Trace.with_span "depgraph/analyze" run
-  else run ();
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "depgraph.runs" 1;
-    Obs.Metrics.bump "depgraph.nodes" !nodes
-  end;
-  let slots = if !widened then max_slots else !max_slot_seen in
+  Walk.run walk (fun () -> go ~slot:0 (Walk.full_rect walk) tree);
+  let slots = if walk.widened then max_slots else !max_slot_seen in
   let reads =
     Array.init slots (fun t ->
         let acc = ref [] in
@@ -298,10 +251,10 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
     speakers;
     output_relevant;
     waves;
-    nodes = !nodes;
-    widened = !widened;
-    law_failures = !law_failures;
-    players;
+    nodes = walk.nodes;
+    widened = walk.widened;
+    law_failures = walk.law_failures;
+    players = walk.players;
     domain_size = Array.length domain;
   }
 

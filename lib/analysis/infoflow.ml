@@ -56,14 +56,16 @@
 
     {2 Widening and soundness}
 
-    The traversal walks the unfolded tree under the same node budget as
-    {!Absint}; past it the analysis {e widens}: the only still-sound
-    summary is the trivial [[0, CC(tree)]] (information never exceeds
-    communication), the result is flagged [widened] and {!Certify}
-    reports it inconclusive. Emission laws that raise, overflow their
-    arity, or are not exactly normalized likewise poison soundness
-    ([law_failures]) and trigger the same fallback — never a silently
-    wrong certificate. *)
+    The traversal walks the unfolded tree with {!Walk}'s node budget and
+    law split, like {!Absint} (DESIGN.md §9); past the budget the
+    analysis {e widens}: the only still-sound summary is the trivial
+    [[0, CC(tree)]] (information never exceeds communication), the
+    result is flagged [widened] and {!Certify} reports it inconclusive.
+    Emission laws that raise, overflow their arity, or are not exactly
+    normalized, and coins that are not exactly normalized, likewise
+    poison soundness ([law_failures]) and trigger the same fallback —
+    never a silently wrong certificate. Such an input is dropped rather
+    than sent to top: a weight vector has no top. *)
 
 module D = Prob.Dist_exact
 module R = Exact.Rational
@@ -157,9 +159,8 @@ let memoized_log2_bounds ~prec =
 
 let analyze ?(budget = Absint.default_budget) ?players
     ?(prec = default_prec) ?mu ~domain tree =
+  let walk = Walk.start ~name:"infoflow" ?players ~budget ~domain tree in
   let d = Array.length domain in
-  if d = 0 then invalid_arg "Infoflow.analyze: empty domain";
-  if budget < 1 then invalid_arg "Infoflow.analyze: budget must be positive";
   if prec < 1 then invalid_arg "Infoflow.analyze: prec must be positive";
   let mu =
     match mu with
@@ -176,34 +177,25 @@ let analyze ?(budget = Absint.default_budget) ?players
           invalid_arg "Infoflow.analyze: mu does not sum to 1";
         m
   in
-  let players =
-    let inferred = Walk.inferred_players tree in
-    match players with Some k -> max k inferred | None -> inferred
-  in
+  let players = walk.players in
   let struct_max = T.communication_cost tree in
-  let nodes = ref 0
-  and law_failures = ref 0 in
-  let widened = ref false
-  and deterministic = ref true in
   (* Raw leaves carry the per-player weight vectors; masses and bounds
      are derived after the walk. *)
   let raw_leaves = ref [] in
   let init_w = Array.init players (fun _ -> Array.make d R.one) in
   let rec go path w cm bits t =
-    if !nodes >= budget then widened := true
-    else begin
-      incr nodes;
+    if Walk.tick walk then
       match t with
       | T.Output v -> raw_leaves := (path, v, bits, cm, w) :: !raw_leaves
       | T.Chance { coin; children } ->
-          if not (R.equal (D.mass coin) R.one) then incr law_failures
+          if not (R.equal (D.mass coin) R.one) then Walk.fail walk
           else begin
             let live = ref 0 in
             Array.iteri
               (fun i _ ->
                 if R.sign (D.prob_of coin i) > 0 then incr live)
               children;
-            if !live > 1 then deterministic := false;
+            if !live > 1 then walk.deterministic <- false;
             Array.iteri
               (fun i c ->
                 let p = D.prob_of coin i in
@@ -215,34 +207,17 @@ let analyze ?(budget = Absint.default_budget) ?players
           let arity = Array.length children in
           let charge = T.bits_of_arity arity in
           (* Per-symbol weight row for the speaker; other players' rows
-             are unchanged and shared (rows are immutable once built). *)
+             are unchanged and shared (rows are immutable once built).
+             An input whose law fails is dropped from every row. *)
+          let row = w.(speaker) in
           let rows = Array.init arity (fun _ -> Array.make d R.zero) in
           let any = Array.make arity false in
-          Array.iteri
-            (fun v wv ->
-              if R.sign wv > 0 then
-                match emit domain.(v) with
-                | exception _ -> incr law_failures
-                | law ->
-                    if not (R.equal (D.mass law) R.one) then
-                      incr law_failures
-                    else begin
-                      let supp =
-                        List.filter
-                          (fun s -> R.sign (D.prob_of law s) > 0)
-                          (D.support law)
-                      in
-                      if List.length supp > 1 then deterministic := false;
-                      List.iter
-                        (fun s ->
-                          if s < 0 || s >= arity then incr law_failures
-                          else begin
-                            rows.(s).(v) <- R.mul wv (D.prob_of law s);
-                            any.(s) <- true
-                          end)
-                        supp
-                    end)
-            w.(speaker);
+          ignore
+            (Walk.split walk ~count:true ~normalized:true emit ~arity
+               (List.filter (fun v -> R.sign row.(v) > 0) walk.inputs)
+               (fun v s p ->
+                 rows.(s).(v) <- R.mul row.(v) p;
+                 any.(s) <- true));
           Array.iteri
             (fun m c ->
               if any.(m) then begin
@@ -251,11 +226,10 @@ let analyze ?(budget = Absint.default_budget) ?players
                 go (Path.child path m) w' cm (bits + charge) c
               end)
             children
-    end
   in
-  let run () = go Path.root init_w R.one 0 tree in
-  (if Obs.Trace.enabled () then Obs.Trace.with_span "infoflow/analyze" run
-   else run ());
+  Walk.run walk (fun () -> go Path.root init_w R.one 0 tree);
+  if Obs.Metrics.enabled () && walk.widened then
+    Obs.Metrics.bump "infoflow.widenings" 1;
   (* ---------------- derive masses and bounds ---------------- *)
   let log2_bounds = memoized_log2_bounds ~prec in
   let total_mass = ref R.zero
@@ -312,11 +286,6 @@ let analyze ?(budget = Absint.default_budget) ?players
       !raw_leaves
   in
   let leaves = List.rev leaves in
-  if Obs.Metrics.enabled () then begin
-    Obs.Metrics.bump "infoflow.runs" 1;
-    Obs.Metrics.bump "infoflow.nodes" !nodes;
-    if !widened then Obs.Metrics.bump "infoflow.widenings" 1
-  end;
   let partial =
     {
       players;
@@ -325,11 +294,11 @@ let analyze ?(budget = Absint.default_budget) ?players
       mu;
       leaves;
       total_mass = !total_mass;
-      nodes = !nodes;
+      nodes = walk.nodes;
       struct_max;
-      widened = !widened;
-      law_failures = !law_failures;
-      deterministic = !deterministic && not !widened;
+      widened = walk.widened;
+      law_failures = walk.law_failures;
+      deterministic = walk.deterministic && not walk.widened;
       sound = false;
       external_ic = { lo = R.zero; hi = R.of_int struct_max };
       internal_ic =

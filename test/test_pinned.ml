@@ -8,7 +8,12 @@
       message counts or the board;
     - the literal and factored Theorem-3 compression runs, where a
       change to the order in which the shared public stream is split
-      (chance coins, one split per transmission) moves every bit count.
+      (chance coins, one split per transmission) moves every bit count;
+    - the three static analyzers ({!Analysis.Absint},
+      {!Analysis.Depgraph}, {!Analysis.Infoflow}) at budgets on both
+      sides of every widening cut, where a change to the node count,
+      the law-failure accounting or the per-input law split moves a
+      count, a rectangle, a read-set or an information bracket.
 
     Each case renders to one line; the expected lines are the values
     these loops produced when the lines were recorded. *)
@@ -18,6 +23,13 @@ module Fault = Netsim.Fault
 module Reg = Protocols.Registry
 module B = Blackboard.Board
 module Am = Compress.Amortized
+module Ab = Analysis.Absint
+module Dg = Analysis.Depgraph
+module Flow = Analysis.Infoflow
+module T = Proto.Tree
+module D = Prob.Dist_exact
+module R = Exact.Rational
+module MD = Prob.Dist_core.Make (Prob.Weight.Exact)
 open Test_util
 
 (* ------------------------------------------------------------------ *)
@@ -244,9 +256,402 @@ let t_compress_pinned () =
         (render_compress ~factored t ~seed ~copies))
     compress_cases compress_expected
 
+(* ------------------------------------------------------------------ *)
+(* Static analyzers                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let analyzer_budgets = [ Some 1; Some 5; Some 13; Some 40; Some 200; None ]
+
+let budget_label = function Some b -> string_of_int b | None -> "default"
+let ints l = String.concat "," (List.map string_of_int l)
+
+let render_absint (a : Ab.t) =
+  Printf.sprintf
+    "absint cost=%s nodes=%d widenings=%d dead=[%s] det=%b law_failures=%d \
+     widened=%b leaves=[%s]"
+    (Ab.interval_to_string a.cost) a.nodes a.widenings
+    (String.concat " " (List.map Analysis.Path.to_string a.dead))
+    a.deterministic a.law_failures a.widened
+    (String.concat " "
+       (List.map
+          (fun (l : Ab.leaf) ->
+            Printf.sprintf "%d{%s}" l.output
+              (String.concat "|" (Array.to_list (Array.map ints l.rect))))
+          a.leaves))
+
+let render_infoflow (f : Flow.t) =
+  Printf.sprintf
+    "infoflow nodes=%d widened=%b law_failures=%d det=%b sound=%b ext=%s \
+     int=%s total_mass=%s leaves=[%s]"
+    f.nodes f.widened f.law_failures f.deterministic f.sound
+    (Flow.bound_to_string f.external_ic)
+    (Flow.bound_to_string f.internal_ic)
+    (R.to_string f.total_mass)
+    (String.concat " "
+       (List.map
+          (fun (l : Flow.leaf) ->
+            Printf.sprintf "%d:%s" l.bits (R.to_string l.mass))
+          f.leaves))
+
+(* The three analyzers on one tree, one line each. *)
+let render_analyzers ?budget ?players ~domain tree =
+  [
+    render_absint (Ab.analyze ?budget ?players ~domain tree);
+    "depgraph "
+    ^ Obs.Jsonw.to_string
+        (Dg.to_json (Dg.analyze ?budget ?players ~domain tree));
+    render_infoflow (Flow.analyze ?budget ?players ~domain tree);
+  ]
+
+let registry_analyzer_lines () =
+  List.concat_map
+    (fun (Reg.Entry r) ->
+      let tree = Lazy.force r.tree in
+      List.concat_map
+        (fun budget ->
+          List.map
+            (Printf.sprintf "%s b=%s %s" r.name (budget_label budget))
+            (render_analyzers ?budget ~players:r.players ~domain:r.domain tree))
+        analyzer_budgets)
+    (Reg.all ())
+
+(* Seeded random trees over the domain [0, d) that reach every branch
+   of the three walks: point-mass laws, laws that raise, place mass
+   outside the arity or are not normalized (raw records, behind the
+   smart constructors' guards), zero-probability and unnormalized coin
+   branches, and physically shared sibling subtrees. Half the trees
+   use point-mass laws only, so that a failing law is often the only
+   thing that makes a tree nondeterministic. *)
+let raw_dist pairs : int D.t = { MD.items = Array.of_list pairs; index = None }
+
+let random_analyzer_tree rng ~det ~d ~k ~depth =
+  let int n = Prob.Rng.int rng n in
+  let law arity =
+    if det || int 3 = 0 then D.return (int arity)
+    else
+      let s0 = int arity in
+      D.of_weighted
+        (List.init arity (fun s ->
+             (s, R.of_ints ((if s = s0 then 1 else 0) + int 3) 4)))
+  in
+  let rec go depth =
+    if depth = 0 || int 5 = 0 then T.output (int 2)
+    else begin
+      let arity = 2 + int 2 in
+      let children =
+        if int 4 = 0 then begin
+          let shared = go (depth - 1) in
+          Array.init arity (fun i -> if i < 2 then shared else go (depth - 1))
+        end
+        else Array.init arity (fun _ -> go (depth - 1))
+      in
+      match int 10 with
+      | 0 ->
+          let z = int arity in
+          T.Chance
+            {
+              coin =
+                D.of_weighted
+                  (List.filter_map
+                     (fun s -> if s = z then None else Some (s, R.one))
+                     (List.init arity Fun.id));
+              children;
+            }
+      | 1 -> T.Chance { coin = raw_dist [ (0, R.half) ]; children }
+      | 2 -> T.Chance { coin = law arity; children }
+      | _ ->
+          let laws = Array.init d (fun _ -> law arity) in
+          let bad = int d in
+          let emit =
+            match int 8 with
+            | 0 -> fun x -> if x = bad then failwith "law raises" else laws.(x)
+            | 1 ->
+                let off = if int 2 = 0 then arity else -1 in
+                fun x ->
+                  if x = bad then D.of_weighted [ (0, R.half); (off, R.half) ]
+                  else laws.(x)
+            | 2 ->
+                fun x ->
+                  if x = bad then
+                    raw_dist [ (0, R.of_ints 1 3); (1, R.of_ints 1 3) ]
+                  else laws.(x)
+            | _ -> fun x -> laws.(x)
+          in
+          T.Speak { speaker = int k; emit; children }
+    end
+  in
+  go depth
+
+let random_analyzer_digest budget =
+  let lines =
+    List.concat_map
+      (fun seed ->
+        let rng = Prob.Rng.of_int_seed seed in
+        let int n = Prob.Rng.int rng n in
+        let d = 2 + int 2 and k = 1 + int 3 and det = int 2 = 0 in
+        let tree = random_analyzer_tree rng ~det ~d ~k ~depth:(2 + int 6) in
+        (* A declared count below the inferred one is raised to it. *)
+        let players = [| None; Some 1; Some k |].(int 3) in
+        render_analyzers ?budget ?players ~domain:(Array.init d Fun.id) tree)
+      (List.init 200 (fun i -> i + 1))
+  in
+  Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let analyzer_expected =
+  [
+    {x|and/sequential b=1 absint cost=[1, 5] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|and/sequential b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":5,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":5,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/sequential b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 5] int=[0, 20] total_mass=0 leaves=[]|x};
+    {x|and/sequential b=5 absint cost=[1, 5] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1}]|x};
+    {x|and/sequential b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":5,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":5,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false}]}|x};
+    {x|and/sequential b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 5] int=[0, 20] total_mass=3/4 leaves=[2:1/4 1:1/2]|x};
+    {x|and/sequential b=13 absint cost=[1, 5] nodes=11 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 0{1|1|1|0|0,1} 0{1|1|1|1|0} 1{1|1|1|1|1}]|x};
+    {x|and/sequential b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":5,"waves":5,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":5,"wave_starts":[0,1,2,3,4],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[4],"reads":[0,1,2,3],"wave":4,"output_relevant":true}]}|x};
+    {x|and/sequential b=13 infoflow nodes=11 widened=false law_failures=0 det=true sound=true ext=[31/16, 31/16] int=[31/4, 31/4] total_mass=1 leaves=[5:1/32 5:1/32 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/sequential b=40 absint cost=[1, 5] nodes=11 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 0{1|1|1|0|0,1} 0{1|1|1|1|0} 1{1|1|1|1|1}]|x};
+    {x|and/sequential b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":5,"waves":5,"certified":true,"widened":false,"law_failures":0,"nodes":16,"players":5,"wave_starts":[0,1,2,3,4],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[4],"reads":[0,1,2,3],"wave":4,"output_relevant":true}]}|x};
+    {x|and/sequential b=40 infoflow nodes=11 widened=false law_failures=0 det=true sound=true ext=[31/16, 31/16] int=[31/4, 31/4] total_mass=1 leaves=[5:1/32 5:1/32 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/sequential b=200 absint cost=[1, 5] nodes=11 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 0{1|1|1|0|0,1} 0{1|1|1|1|0} 1{1|1|1|1|1}]|x};
+    {x|and/sequential b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":5,"waves":5,"certified":true,"widened":false,"law_failures":0,"nodes":16,"players":5,"wave_starts":[0,1,2,3,4],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[4],"reads":[0,1,2,3],"wave":4,"output_relevant":true}]}|x};
+    {x|and/sequential b=200 infoflow nodes=11 widened=false law_failures=0 det=true sound=true ext=[31/16, 31/16] int=[31/4, 31/4] total_mass=1 leaves=[5:1/32 5:1/32 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/sequential b=default absint cost=[1, 5] nodes=11 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 0{1|1|1|0|0,1} 0{1|1|1|1|0} 1{1|1|1|1|1}]|x};
+    {x|and/sequential b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":5,"waves":5,"certified":true,"widened":false,"law_failures":0,"nodes":16,"players":5,"wave_starts":[0,1,2,3,4],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[4],"reads":[0,1,2,3],"wave":4,"output_relevant":true}]}|x};
+    {x|and/sequential b=default infoflow nodes=11 widened=false law_failures=0 det=true sound=true ext=[31/16, 31/16] int=[31/4, 31/4] total_mass=1 leaves=[5:1/32 5:1/32 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/broadcast-all b=1 absint cost=[1, 4] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|and/broadcast-all b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":4,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/broadcast-all b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|and/broadcast-all b=5 absint cost=[1, 4] nodes=5 widenings=4 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0|0|0}]|x};
+    {x|and/broadcast-all b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":4,"wave_starts":[0,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[],"wave":0,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/broadcast-all b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=1/16 leaves=[4:1/16]|x};
+    {x|and/broadcast-all b=13 absint cost=[1, 4] nodes=13 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0|0|0} 0{0|0|0|1} 0{0|0|1|0} 0{0|0|1|1} 0{0|1|0|0} 0{0|1|0|1}]|x};
+    {x|and/broadcast-all b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":4,"wave_starts":[0,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[],"wave":0,"output_relevant":false},{"slot":2,"speakers":[],"reads":[],"wave":0,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/broadcast-all b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=3/8 leaves=[4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16]|x};
+    {x|and/broadcast-all b=40 absint cost=[4, 4] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0|0|0} 0{0|0|0|1} 0{0|0|1|0} 0{0|0|1|1} 0{0|1|0|0} 0{0|1|0|1} 0{0|1|1|0} 0{0|1|1|1} 0{1|0|0|0} 0{1|0|0|1} 0{1|0|1|0} 0{1|0|1|1} 0{1|1|0|0} 0{1|1|0|1} 0{1|1|1|0} 1{1|1|1|1}]|x};
+    {x|and/broadcast-all b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":1,"certified":false,"widened":true,"law_failures":0,"nodes":40,"players":4,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":false},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":false},{"slot":3,"speakers":[3],"reads":[],"wave":0,"output_relevant":false}]}|x};
+    {x|and/broadcast-all b=40 infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[4, 4] int=[12, 12] total_mass=1 leaves=[4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16]|x};
+    {x|and/broadcast-all b=200 absint cost=[4, 4] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0|0|0} 0{0|0|0|1} 0{0|0|1|0} 0{0|0|1|1} 0{0|1|0|0} 0{0|1|0|1} 0{0|1|1|0} 0{0|1|1|1} 0{1|0|0|0} 0{1|0|0|1} 0{1|0|1|0} 0{1|0|1|1} 0{1|1|0|0} 0{1|1|0|1} 0{1|1|1|0} 1{1|1|1|1}]|x};
+    {x|and/broadcast-all b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":1,"certified":true,"widened":false,"law_failures":0,"nodes":80,"players":4,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[],"wave":0,"output_relevant":true}]}|x};
+    {x|and/broadcast-all b=200 infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[4, 4] int=[12, 12] total_mass=1 leaves=[4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16]|x};
+    {x|and/broadcast-all b=default absint cost=[4, 4] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0|0|0} 0{0|0|0|1} 0{0|0|1|0} 0{0|0|1|1} 0{0|1|0|0} 0{0|1|0|1} 0{0|1|1|0} 0{0|1|1|1} 0{1|0|0|0} 0{1|0|0|1} 0{1|0|1|0} 0{1|0|1|1} 0{1|1|0|0} 0{1|1|0|1} 0{1|1|1|0} 1{1|1|1|1}]|x};
+    {x|and/broadcast-all b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":1,"certified":true,"widened":false,"law_failures":0,"nodes":80,"players":4,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[],"wave":0,"output_relevant":true}]}|x};
+    {x|and/broadcast-all b=default infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[4, 4] int=[12, 12] total_mass=1 leaves=[4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16 4:1/16]|x};
+    {x|and/truncated b=1 absint cost=[1, 3] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|and/truncated b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":5,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/truncated b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 3] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|and/truncated b=5 absint cost=[1, 3] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1}]|x};
+    {x|and/truncated b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":5,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false}]}|x};
+    {x|and/truncated b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 3] int=[0, 12] total_mass=3/4 leaves=[2:1/4 1:1/2]|x};
+    {x|and/truncated b=13 absint cost=[1, 3] nodes=7 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 1{1|1|1|0,1|0,1}]|x};
+    {x|and/truncated b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":true,"widened":false,"law_failures":0,"nodes":10,"players":5,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|and/truncated b=13 infoflow nodes=7 widened=false law_failures=0 det=true sound=true ext=[7/4, 7/4] int=[7, 7] total_mass=1 leaves=[3:1/8 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/truncated b=40 absint cost=[1, 3] nodes=7 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 1{1|1|1|0,1|0,1}]|x};
+    {x|and/truncated b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":true,"widened":false,"law_failures":0,"nodes":10,"players":5,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|and/truncated b=40 infoflow nodes=7 widened=false law_failures=0 det=true sound=true ext=[7/4, 7/4] int=[7, 7] total_mass=1 leaves=[3:1/8 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/truncated b=200 absint cost=[1, 3] nodes=7 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 1{1|1|1|0,1|0,1}]|x};
+    {x|and/truncated b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":true,"widened":false,"law_failures":0,"nodes":10,"players":5,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|and/truncated b=200 infoflow nodes=7 widened=false law_failures=0 det=true sound=true ext=[7/4, 7/4] int=[7, 7] total_mass=1 leaves=[3:1/8 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/truncated b=default absint cost=[1, 3] nodes=7 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1|0,1} 0{1|0|0,1|0,1|0,1} 0{1|1|0|0,1|0,1} 1{1|1|1|0,1|0,1}]|x};
+    {x|and/truncated b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":true,"widened":false,"law_failures":0,"nodes":10,"players":5,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|and/truncated b=default infoflow nodes=7 widened=false law_failures=0 det=true sound=true ext=[7/4, 7/4] int=[7, 7] total_mass=1 leaves=[3:1/8 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/noisy b=1 absint cost=[1, 4] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|and/noisy b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":4,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/noisy b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|and/noisy b=5 absint cost=[1, 4] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1}]|x};
+    {x|and/noisy b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":4,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false}]}|x};
+    {x|and/noisy b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=3/4 leaves=[2:1/4 1:1/2]|x};
+    {x|and/noisy b=13 absint cost=[1, 4] nodes=9 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/noisy b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":13,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|and/noisy b=13 infoflow nodes=9 widened=false law_failures=0 det=false sound=true ext=[260997/262144, 522009/524288] int=[782991/262144, 1566027/524288] total_mass=1 leaves=[4:1/16 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/noisy b=40 absint cost=[1, 4] nodes=9 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/noisy b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":13,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|and/noisy b=40 infoflow nodes=9 widened=false law_failures=0 det=false sound=true ext=[260997/262144, 522009/524288] int=[782991/262144, 1566027/524288] total_mass=1 leaves=[4:1/16 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/noisy b=200 absint cost=[1, 4] nodes=9 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/noisy b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":13,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|and/noisy b=200 infoflow nodes=9 widened=false law_failures=0 det=false sound=true ext=[260997/262144, 522009/524288] int=[782991/262144, 1566027/524288] total_mass=1 leaves=[4:1/16 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/noisy b=default absint cost=[1, 4] nodes=9 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 0{0,1|0,1|0,1|0,1} 1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/noisy b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":13,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|and/noisy b=default infoflow nodes=9 widened=false law_failures=0 det=false sound=true ext=[260997/262144, 522009/524288] int=[782991/262144, 1566027/524288] total_mass=1 leaves=[4:1/16 4:1/16 3:1/8 2:1/4 1:1/2]|x};
+    {x|and/two-copy b=1 absint cost=[1, 6] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|and/two-copy b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|and/two-copy b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|and/two-copy b=5 absint cost=[1, 6] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3}]|x};
+    {x|and/two-copy b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":2,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0],"wave":2,"output_relevant":false}]}|x};
+    {x|and/two-copy b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=3/8 leaves=[3:1/8 2:1/4]|x};
+    {x|and/two-copy b=13 absint cost=[2, 6] nodes=13 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 1{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3}]|x};
+    {x|and/two-copy b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":4,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":3,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[1],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[],"reads":[0,1],"wave":3,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0,1],"wave":3,"output_relevant":false}]}|x};
+    {x|and/two-copy b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=11/16 leaves=[4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|and/two-copy b=40 absint cost=[2, 6] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 1{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3} 0{3|2|0,1} 1{3|2|2,3} 0{1|1,3|0,2} 0{3|1|0,2} 0{3|3|0} 1{3|3|2} 2{1|1,3|1,3} 2{3|1|1,3} 2{3|3|1} 3{3|3|3}]|x};
+    {x|and/two-copy b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":false,"widened":true,"law_failures":0,"nodes":40,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|and/two-copy b=40 infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[6:1/64 6:1/64 5:1/32 4:1/16 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|and/two-copy b=200 absint cost=[2, 6] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 1{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3} 0{3|2|0,1} 1{3|2|2,3} 0{1|1,3|0,2} 0{3|1|0,2} 0{3|3|0} 1{3|3|2} 2{1|1,3|1,3} 2{3|1|1,3} 2{3|3|1} 3{3|3|3}]|x};
+    {x|and/two-copy b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":52,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|and/two-copy b=200 infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[6:1/64 6:1/64 5:1/32 4:1/16 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|and/two-copy b=default absint cost=[2, 6] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 1{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3} 0{3|2|0,1} 1{3|2|2,3} 0{1|1,3|0,2} 0{3|1|0,2} 0{3|3|0} 1{3|3|2} 2{1|1,3|1,3} 2{3|1|1,3} 2{3|3|1} 3{3|3|3}]|x};
+    {x|and/two-copy b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":52,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|and/two-copy b=default infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[6:1/64 6:1/64 5:1/32 4:1/16 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|and/constant b=1 absint cost=[0, 0] nodes=1 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/constant b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":0,"waves":0,"certified":true,"widened":false,"law_failures":0,"nodes":1,"players":4,"wave_starts":[],"slot_table":[]}|x};
+    {x|and/constant b=1 infoflow nodes=1 widened=false law_failures=0 det=true sound=true ext=[0, 0] int=[0, 0] total_mass=1 leaves=[0:1]|x};
+    {x|and/constant b=5 absint cost=[0, 0] nodes=1 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/constant b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":0,"waves":0,"certified":true,"widened":false,"law_failures":0,"nodes":1,"players":4,"wave_starts":[],"slot_table":[]}|x};
+    {x|and/constant b=5 infoflow nodes=1 widened=false law_failures=0 det=true sound=true ext=[0, 0] int=[0, 0] total_mass=1 leaves=[0:1]|x};
+    {x|and/constant b=13 absint cost=[0, 0] nodes=1 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/constant b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":0,"waves":0,"certified":true,"widened":false,"law_failures":0,"nodes":1,"players":4,"wave_starts":[],"slot_table":[]}|x};
+    {x|and/constant b=13 infoflow nodes=1 widened=false law_failures=0 det=true sound=true ext=[0, 0] int=[0, 0] total_mass=1 leaves=[0:1]|x};
+    {x|and/constant b=40 absint cost=[0, 0] nodes=1 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/constant b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":0,"waves":0,"certified":true,"widened":false,"law_failures":0,"nodes":1,"players":4,"wave_starts":[],"slot_table":[]}|x};
+    {x|and/constant b=40 infoflow nodes=1 widened=false law_failures=0 det=true sound=true ext=[0, 0] int=[0, 0] total_mass=1 leaves=[0:1]|x};
+    {x|and/constant b=200 absint cost=[0, 0] nodes=1 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/constant b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":0,"waves":0,"certified":true,"widened":false,"law_failures":0,"nodes":1,"players":4,"wave_starts":[],"slot_table":[]}|x};
+    {x|and/constant b=200 infoflow nodes=1 widened=false law_failures=0 det=true sound=true ext=[0, 0] int=[0, 0] total_mass=1 leaves=[0:1]|x};
+    {x|and/constant b=default absint cost=[0, 0] nodes=1 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0,1|0,1|0,1|0,1}]|x};
+    {x|and/constant b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":0,"waves":0,"certified":true,"widened":false,"law_failures":0,"nodes":1,"players":4,"wave_starts":[],"slot_table":[]}|x};
+    {x|and/constant b=default infoflow nodes=1 widened=false law_failures=0 det=true sound=true ext=[0, 0] int=[0, 0] total_mass=1 leaves=[0:1]|x};
+    {x|compress/xor-coin-sequential b=1 absint cost=[1, 4] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|compress/xor-coin-sequential b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":4,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|compress/xor-coin-sequential b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|compress/xor-coin-sequential b=5 absint cost=[1, 4] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1|0,1|0,1} 1{0|0,1|0,1|0,1}]|x};
+    {x|compress/xor-coin-sequential b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":4,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|compress/xor-coin-sequential b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=1/2 leaves=[1:1/4 1:1/4]|x};
+    {x|compress/xor-coin-sequential b=13 absint cost=[1, 4] nodes=13 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1|0,1|0,1} 1{0|0,1|0,1|0,1} 0{1|0|0,1|0,1} 1{1|0|0,1|0,1} 0{1|1|0|0,1} 1{1|1|0|0,1}]|x};
+    {x|compress/xor-coin-sequential b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[],"reads":[0,1,2],"wave":3,"output_relevant":false}]}|x};
+    {x|compress/xor-coin-sequential b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 4] int=[0, 12] total_mass=7/8 leaves=[3:1/16 3:1/16 2:1/8 2:1/8 1:1/4 1:1/4]|x};
+    {x|compress/xor-coin-sequential b=40 absint cost=[1, 4] nodes=19 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1} 1{0|0,1|0,1|0,1} 0{1|0|0,1|0,1} 1{1|0|0,1|0,1} 0{1|1|0|0,1} 1{1|1|0|0,1} 0{1|1|1|0} 1{1|1|1|0} 1{1|1|1|1} 0{1|1|1|1}]|x};
+    {x|compress/xor-coin-sequential b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":25,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|compress/xor-coin-sequential b=40 infoflow nodes=19 widened=false law_failures=0 det=false sound=true ext=[15/8, 15/8] int=[45/8, 45/8] total_mass=1 leaves=[4:1/32 4:1/32 4:1/32 4:1/32 3:1/16 3:1/16 2:1/8 2:1/8 1:1/4 1:1/4]|x};
+    {x|compress/xor-coin-sequential b=200 absint cost=[1, 4] nodes=19 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1} 1{0|0,1|0,1|0,1} 0{1|0|0,1|0,1} 1{1|0|0,1|0,1} 0{1|1|0|0,1} 1{1|1|0|0,1} 0{1|1|1|0} 1{1|1|1|0} 1{1|1|1|1} 0{1|1|1|1}]|x};
+    {x|compress/xor-coin-sequential b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":25,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|compress/xor-coin-sequential b=200 infoflow nodes=19 widened=false law_failures=0 det=false sound=true ext=[15/8, 15/8] int=[45/8, 45/8] total_mass=1 leaves=[4:1/32 4:1/32 4:1/32 4:1/32 3:1/16 3:1/16 2:1/8 2:1/8 1:1/4 1:1/4]|x};
+    {x|compress/xor-coin-sequential b=default absint cost=[1, 4] nodes=19 widenings=0 dead=[] det=false law_failures=0 widened=false leaves=[0{0|0,1|0,1|0,1} 1{0|0,1|0,1|0,1} 0{1|0|0,1|0,1} 1{1|0|0,1|0,1} 0{1|1|0|0,1} 1{1|1|0|0,1} 0{1|1|1|0} 1{1|1|1|0} 1{1|1|1|1} 0{1|1|1|1}]|x};
+    {x|compress/xor-coin-sequential b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":4,"waves":4,"certified":true,"widened":false,"law_failures":0,"nodes":25,"players":4,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[3],"reads":[0,1,2],"wave":3,"output_relevant":true}]}|x};
+    {x|compress/xor-coin-sequential b=default infoflow nodes=19 widened=false law_failures=0 det=false sound=true ext=[15/8, 15/8] int=[45/8, 45/8] total_mass=1 leaves=[4:1/32 4:1/32 4:1/32 4:1/32 3:1/16 3:1/16 2:1/8 2:1/8 1:1/4 1:1/4]|x};
+    {x|compress/parallel-copies b=1 absint cost=[1, 6] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|compress/parallel-copies b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|compress/parallel-copies b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|compress/parallel-copies b=5 absint cost=[1, 6] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3}]|x};
+    {x|compress/parallel-copies b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":2,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0],"wave":2,"output_relevant":false}]}|x};
+    {x|compress/parallel-copies b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=3/8 leaves=[3:1/8 2:1/4]|x};
+    {x|compress/parallel-copies b=13 absint cost=[2, 6] nodes=13 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 2{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3}]|x};
+    {x|compress/parallel-copies b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":4,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":3,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[1],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[],"reads":[0,1],"wave":3,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0,1],"wave":3,"output_relevant":false}]}|x};
+    {x|compress/parallel-copies b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=11/16 leaves=[4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|compress/parallel-copies b=40 absint cost=[2, 6] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 2{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3} 0{3|2|0,1} 2{3|2|2,3} 0{1|1,3|0,2} 0{3|1|0,2} 0{3|3|0} 2{3|3|2} 1{1|1,3|1,3} 1{3|1|1,3} 1{3|3|1} 3{3|3|3}]|x};
+    {x|compress/parallel-copies b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":false,"widened":true,"law_failures":0,"nodes":40,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|compress/parallel-copies b=40 infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[6:1/64 6:1/64 5:1/32 4:1/16 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|compress/parallel-copies b=200 absint cost=[2, 6] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 2{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3} 0{3|2|0,1} 2{3|2|2,3} 0{1|1,3|0,2} 0{3|1|0,2} 0{3|3|0} 2{3|3|2} 1{1|1,3|1,3} 1{3|1|1,3} 1{3|3|1} 3{3|3|3}]|x};
+    {x|compress/parallel-copies b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":52,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|compress/parallel-copies b=200 infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[6:1/64 6:1/64 5:1/32 4:1/16 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|compress/parallel-copies b=default absint cost=[2, 6] nodes=31 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0,1,2,3|0,1,2,3} 0{2|0,1|0,1,2,3} 0{2|2,3|0,1} 2{2|2,3|2,3} 0{1|0,2|0,1,2,3} 0{3|0|0,1,2,3} 0{3|2|0,1} 2{3|2|2,3} 0{1|1,3|0,2} 0{3|1|0,2} 0{3|3|0} 2{3|3|2} 1{1|1,3|1,3} 1{3|1|1,3} 1{3|3|1} 3{3|3|3}]|x};
+    {x|compress/parallel-copies b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":52,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|compress/parallel-copies b=default infoflow nodes=31 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[6:1/64 6:1/64 5:1/32 4:1/16 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|disj/trivial-tree b=1 absint cost=[2, 6] nodes=1 widenings=4 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|disj/trivial-tree b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/trivial-tree b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|disj/trivial-tree b=5 absint cost=[2, 6] nodes=5 widenings=8 dead=[] det=false law_failures=0 widened=true leaves=[1{0|0|0} 1{0|0|2}]|x};
+    {x|disj/trivial-tree b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/trivial-tree b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=1/32 leaves=[6:1/64 6:1/64]|x};
+    {x|disj/trivial-tree b=13 absint cost=[2, 6] nodes=13 widenings=8 dead=[] det=false law_failures=0 widened=true leaves=[1{0|0|0} 1{0|0|2} 1{0|0|1} 1{0|0|3} 1{0|2|0} 1{0|2|2} 1{0|2|1} 1{0|2|3}]|x};
+    {x|disj/trivial-tree b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/trivial-tree b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=1/8 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/trivial-tree b=40 absint cost=[2, 6] nodes=40 widenings=5 dead=[] det=false law_failures=0 widened=true leaves=[1{0|0|0} 1{0|0|2} 1{0|0|1} 1{0|0|3} 1{0|2|0} 1{0|2|2} 1{0|2|1} 1{0|2|3} 1{0|1|0} 1{0|1|2} 1{0|1|1} 1{0|1|3} 1{0|3|0} 1{0|3|2} 1{0|3|1} 1{0|3|3} 1{2|0|0} 1{2|0|2} 1{2|0|1} 1{2|0|3} 1{2|2|0} 0{2|2|2} 1{2|2|1} 0{2|2|3} 1{2|1|0} 1{2|1|2} 1{2|1|1} 1{2|1|3} 1{2|3|0}]|x};
+    {x|disj/trivial-tree b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":40,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/trivial-tree b=40 infoflow nodes=40 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=29/64 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/trivial-tree b=200 absint cost=[6, 6] nodes=85 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0|0|0} 1{0|0|2} 1{0|0|1} 1{0|0|3} 1{0|2|0} 1{0|2|2} 1{0|2|1} 1{0|2|3} 1{0|1|0} 1{0|1|2} 1{0|1|1} 1{0|1|3} 1{0|3|0} 1{0|3|2} 1{0|3|1} 1{0|3|3} 1{2|0|0} 1{2|0|2} 1{2|0|1} 1{2|0|3} 1{2|2|0} 0{2|2|2} 1{2|2|1} 0{2|2|3} 1{2|1|0} 1{2|1|2} 1{2|1|1} 1{2|1|3} 1{2|3|0} 0{2|3|2} 1{2|3|1} 0{2|3|3} 1{1|0|0} 1{1|0|2} 1{1|0|1} 1{1|0|3} 1{1|2|0} 1{1|2|2} 1{1|2|1} 1{1|2|3} 1{1|1|0} 1{1|1|2} 0{1|1|1} 0{1|1|3} 1{1|3|0} 1{1|3|2} 0{1|3|1} 0{1|3|3} 1{3|0|0} 1{3|0|2} 1{3|0|1} 1{3|0|3} 1{3|2|0} 0{3|2|2} 1{3|2|1} 0{3|2|3} 1{3|1|0} 1{3|1|2} 0{3|1|1} 0{3|1|3} 1{3|3|0} 0{3|3|2} 0{3|3|1} 0{3|3|3}]|x};
+    {x|disj/trivial-tree b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":1,"certified":false,"widened":true,"law_failures":0,"nodes":200,"players":3,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":false},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":false}]}|x};
+    {x|disj/trivial-tree b=200 infoflow nodes=85 widened=false law_failures=0 det=true sound=true ext=[6, 6] int=[12, 12] total_mass=1 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/trivial-tree b=default absint cost=[6, 6] nodes=85 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0|0|0} 1{0|0|2} 1{0|0|1} 1{0|0|3} 1{0|2|0} 1{0|2|2} 1{0|2|1} 1{0|2|3} 1{0|1|0} 1{0|1|2} 1{0|1|1} 1{0|1|3} 1{0|3|0} 1{0|3|2} 1{0|3|1} 1{0|3|3} 1{2|0|0} 1{2|0|2} 1{2|0|1} 1{2|0|3} 1{2|2|0} 0{2|2|2} 1{2|2|1} 0{2|2|3} 1{2|1|0} 1{2|1|2} 1{2|1|1} 1{2|1|3} 1{2|3|0} 0{2|3|2} 1{2|3|1} 0{2|3|3} 1{1|0|0} 1{1|0|2} 1{1|0|1} 1{1|0|3} 1{1|2|0} 1{1|2|2} 1{1|2|1} 1{1|2|3} 1{1|1|0} 1{1|1|2} 0{1|1|1} 0{1|1|3} 1{1|3|0} 1{1|3|2} 0{1|3|1} 0{1|3|3} 1{3|0|0} 1{3|0|2} 1{3|0|1} 1{3|0|3} 1{3|2|0} 0{3|2|2} 1{3|2|1} 0{3|2|3} 1{3|1|0} 1{3|1|2} 0{3|1|1} 0{3|1|3} 1{3|3|0} 0{3|3|2} 0{3|3|1} 0{3|3|3}]|x};
+    {x|disj/trivial-tree b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":1,"certified":true,"widened":false,"law_failures":0,"nodes":427,"players":3,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":true}]}|x};
+    {x|disj/trivial-tree b=default infoflow nodes=85 widened=false law_failures=0 det=true sound=true ext=[6, 6] int=[12, 12] total_mass=1 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/naive-tree b=1 absint cost=[1, 6] nodes=1 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|disj/naive-tree b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/naive-tree b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|disj/naive-tree b=5 absint cost=[1, 6] nodes=5 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[1{0|0,1,2,3|0,1,2,3} 1{2|0,1|0,1,2,3}]|x};
+    {x|disj/naive-tree b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":3,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false},{"slot":4,"speakers":[],"reads":[0],"wave":2,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0],"wave":2,"output_relevant":false}]}|x};
+    {x|disj/naive-tree b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=3/8 leaves=[3:1/8 2:1/4]|x};
+    {x|disj/naive-tree b=13 absint cost=[2, 6] nodes=13 widenings=2 dead=[] det=false law_failures=0 widened=true leaves=[1{0|0,1,2,3|0,1,2,3} 1{2|0,1|0,1,2,3} 1{2|2,3|0,1} 0{2|2,3|2,3} 1{1|0,2|0,1,2,3} 1{3|0|0,1,2,3}]|x};
+    {x|disj/naive-tree b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":4,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":3,"wave_starts":[0,1,2,3],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[1],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[],"reads":[0,1],"wave":3,"output_relevant":false},{"slot":5,"speakers":[],"reads":[0,1],"wave":3,"output_relevant":false}]}|x};
+    {x|disj/naive-tree b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=11/16 leaves=[4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|disj/naive-tree b=40 absint cost=[2, 6] nodes=25 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0|0,1,2,3|0,1,2,3} 1{2|0,1|0,1,2,3} 1{2|2,3|0,1} 0{2|2,3|2,3} 1{1|0,2|0,1,2,3} 1{3|0|0,1,2,3} 1{3|2|0,1} 0{3|2|2,3} 1{1|1,3|0,2} 1{3|1|0,2} 1{3|3|0} 0{3|3|2} 0{1,3|1,3|1,3}]|x};
+    {x|disj/naive-tree b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":37,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,2,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|disj/naive-tree b=40 infoflow nodes=25 widened=false law_failures=0 det=true sound=true ext=[105/32, 105/32] int=[105/16, 105/16] total_mass=1 leaves=[3:1/8 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|disj/naive-tree b=200 absint cost=[2, 6] nodes=25 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0|0,1,2,3|0,1,2,3} 1{2|0,1|0,1,2,3} 1{2|2,3|0,1} 0{2|2,3|2,3} 1{1|0,2|0,1,2,3} 1{3|0|0,1,2,3} 1{3|2|0,1} 0{3|2|2,3} 1{1|1,3|0,2} 1{3|1|0,2} 1{3|3|0} 0{3|3|2} 0{1,3|1,3|1,3}]|x};
+    {x|disj/naive-tree b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":37,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,2,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|disj/naive-tree b=200 infoflow nodes=25 widened=false law_failures=0 det=true sound=true ext=[105/32, 105/32] int=[105/16, 105/16] total_mass=1 leaves=[3:1/8 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|disj/naive-tree b=default absint cost=[2, 6] nodes=25 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[1{0|0,1,2,3|0,1,2,3} 1{2|0,1|0,1,2,3} 1{2|2,3|0,1} 0{2|2,3|2,3} 1{1|0,2|0,1,2,3} 1{3|0|0,1,2,3} 1{3|2|0,1} 0{3|2|2,3} 1{1|1,3|0,2} 1{3|1|0,2} 1{3|3|0} 0{3|3|2} 0{1,3|1,3|1,3}]|x};
+    {x|disj/naive-tree b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":6,"waves":6,"certified":true,"widened":false,"law_failures":0,"nodes":37,"players":3,"wave_starts":[0,1,2,3,4,5],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[0,1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[0,1,2],"reads":[0,1],"wave":2,"output_relevant":true},{"slot":3,"speakers":[0,1,2],"reads":[0,1,2],"wave":3,"output_relevant":true},{"slot":4,"speakers":[1,2],"reads":[0,1,2,3],"wave":4,"output_relevant":true},{"slot":5,"speakers":[2],"reads":[0,1,2,3,4],"wave":5,"output_relevant":true}]}|x};
+    {x|disj/naive-tree b=default infoflow nodes=25 widened=false law_failures=0 det=true sound=true ext=[105/32, 105/32] int=[105/16, 105/16] total_mass=1 leaves=[3:1/8 6:1/64 6:1/64 5:1/32 4:1/16 5:1/32 5:1/32 4:1/16 3:1/8 4:1/16 4:1/16 3:1/8 2:1/4]|x};
+    {x|disj/batched-tree b=1 absint cost=[2, 6] nodes=1 widenings=4 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|disj/batched-tree b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/batched-tree b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|disj/batched-tree b=5 absint cost=[2, 6] nodes=5 widenings=8 dead=[] det=false law_failures=0 widened=true leaves=[0{3|3|3} 0{3|3|2}]|x};
+    {x|disj/batched-tree b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|disj/batched-tree b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=1/32 leaves=[6:1/64 6:1/64]|x};
+    {x|disj/batched-tree b=13 absint cost=[2, 6] nodes=13 widenings=4 dead=[] det=false law_failures=0 widened=true leaves=[0{3|3|3} 0{3|3|2} 0{3|3|1} 1{3|3|0} 0{3|2|2,3} 1{3|2|0,1} 0{3|1|1,3} 1{3|1|0,2}]|x};
+    {x|disj/batched-tree b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[],"reads":[0,1],"wave":2,"output_relevant":false}]}|x};
+    {x|disj/batched-tree b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=3/16 leaves=[5:1/32 5:1/32 5:1/32 5:1/32 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/batched-tree b=40 absint cost=[2, 6] nodes=25 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{3|3|3} 0{3|3|2} 0{3|3|1} 1{3|3|0} 0{3|2|2,3} 1{3|2|0,1} 0{3|1|1,3} 1{3|1|0,2} 1{3|0|0,1,2,3} 0{2|2,3|2,3} 1{2|2,3|0,1} 1{2|0,1|0,1,2,3} 0{1|1,3|1,3} 1{1|1,3|0,2} 1{1|0,2|0,1,2,3} 1{0|0,1,2,3|0,1,2,3}]|x};
+    {x|disj/batched-tree b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":false,"widened":true,"law_failures":0,"nodes":40,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|disj/batched-tree b=40 infoflow nodes=25 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[2:1/4 3:1/8 4:1/16 4:1/16 3:1/8 4:1/16 4:1/16 4:1/16 5:1/32 5:1/32 5:1/32 5:1/32 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/batched-tree b=200 absint cost=[2, 6] nodes=25 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{3|3|3} 0{3|3|2} 0{3|3|1} 1{3|3|0} 0{3|2|2,3} 1{3|2|0,1} 0{3|1|1,3} 1{3|1|0,2} 1{3|0|0,1,2,3} 0{2|2,3|2,3} 1{2|2,3|0,1} 1{2|0,1|0,1,2,3} 0{1|1,3|1,3} 1{1|1,3|0,2} 1{1|0,2|0,1,2,3} 1{0|0,1,2,3|0,1,2,3}]|x};
+    {x|disj/batched-tree b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":true,"widened":false,"law_failures":0,"nodes":49,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|disj/batched-tree b=200 infoflow nodes=25 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[2:1/4 3:1/8 4:1/16 4:1/16 3:1/8 4:1/16 4:1/16 4:1/16 5:1/32 5:1/32 5:1/32 5:1/32 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|disj/batched-tree b=default absint cost=[2, 6] nodes=25 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{3|3|3} 0{3|3|2} 0{3|3|1} 1{3|3|0} 0{3|2|2,3} 1{3|2|0,1} 0{3|1|1,3} 1{3|1|0,2} 1{3|0|0,1,2,3} 0{2|2,3|2,3} 1{2|2,3|0,1} 1{2|0,1|0,1,2,3} 0{1|1,3|1,3} 1{1|1,3|0,2} 1{1|0,2|0,1,2,3} 1{0|0,1,2,3|0,1,2,3}]|x};
+    {x|disj/batched-tree b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":3,"certified":true,"widened":false,"law_failures":0,"nodes":49,"players":3,"wave_starts":[0,1,2],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[0],"wave":1,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[0,1],"wave":2,"output_relevant":true}]}|x};
+    {x|disj/batched-tree b=default infoflow nodes=25 widened=false law_failures=0 det=true sound=true ext=[7/2, 7/2] int=[7, 7] total_mass=1 leaves=[2:1/4 3:1/8 4:1/16 4:1/16 3:1/8 4:1/16 4:1/16 4:1/16 5:1/32 5:1/32 5:1/32 5:1/32 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|or/pointwise-tree b=1 absint cost=[2, 6] nodes=1 widenings=4 dead=[] det=false law_failures=0 widened=true leaves=[]|x};
+    {x|or/pointwise-tree b=1 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":1,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|or/pointwise-tree b=1 infoflow nodes=1 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=0 leaves=[]|x};
+    {x|or/pointwise-tree b=5 absint cost=[2, 6] nodes=5 widenings=8 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0|0} 1{0|0|2}]|x};
+    {x|or/pointwise-tree b=5 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":5,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|or/pointwise-tree b=5 infoflow nodes=5 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=1/32 leaves=[6:1/64 6:1/64]|x};
+    {x|or/pointwise-tree b=13 absint cost=[2, 6] nodes=13 widenings=8 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0|0} 1{0|0|2} 2{0|0|1} 3{0|0|3} 1{0|2|0} 1{0|2|2} 3{0|2|1} 3{0|2|3}]|x};
+    {x|or/pointwise-tree b=13 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":13,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|or/pointwise-tree b=13 infoflow nodes=13 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=1/8 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|or/pointwise-tree b=40 absint cost=[2, 6] nodes=40 widenings=5 dead=[] det=false law_failures=0 widened=true leaves=[0{0|0|0} 1{0|0|2} 2{0|0|1} 3{0|0|3} 1{0|2|0} 1{0|2|2} 3{0|2|1} 3{0|2|3} 2{0|1|0} 3{0|1|2} 2{0|1|1} 3{0|1|3} 3{0|3|0} 3{0|3|2} 3{0|3|1} 3{0|3|3} 1{2|0|0} 1{2|0|2} 3{2|0|1} 3{2|0|3} 1{2|2|0} 1{2|2|2} 3{2|2|1} 3{2|2|3} 3{2|1|0} 3{2|1|2} 3{2|1|1} 3{2|1|3} 3{2|3|0}]|x};
+    {x|or/pointwise-tree b=40 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":2,"certified":false,"widened":true,"law_failures":0,"nodes":40,"players":3,"wave_starts":[0,1],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[],"reads":[0],"wave":1,"output_relevant":false},{"slot":2,"speakers":[],"reads":[0],"wave":1,"output_relevant":false}]}|x};
+    {x|or/pointwise-tree b=40 infoflow nodes=40 widened=true law_failures=0 det=false sound=false ext=[0, 6] int=[0, 12] total_mass=29/64 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|or/pointwise-tree b=200 absint cost=[6, 6] nodes=85 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0|0} 1{0|0|2} 2{0|0|1} 3{0|0|3} 1{0|2|0} 1{0|2|2} 3{0|2|1} 3{0|2|3} 2{0|1|0} 3{0|1|2} 2{0|1|1} 3{0|1|3} 3{0|3|0} 3{0|3|2} 3{0|3|1} 3{0|3|3} 1{2|0|0} 1{2|0|2} 3{2|0|1} 3{2|0|3} 1{2|2|0} 1{2|2|2} 3{2|2|1} 3{2|2|3} 3{2|1|0} 3{2|1|2} 3{2|1|1} 3{2|1|3} 3{2|3|0} 3{2|3|2} 3{2|3|1} 3{2|3|3} 2{1|0|0} 3{1|0|2} 2{1|0|1} 3{1|0|3} 3{1|2|0} 3{1|2|2} 3{1|2|1} 3{1|2|3} 2{1|1|0} 3{1|1|2} 2{1|1|1} 3{1|1|3} 3{1|3|0} 3{1|3|2} 3{1|3|1} 3{1|3|3} 3{3|0|0} 3{3|0|2} 3{3|0|1} 3{3|0|3} 3{3|2|0} 3{3|2|2} 3{3|2|1} 3{3|2|3} 3{3|1|0} 3{3|1|2} 3{3|1|1} 3{3|1|3} 3{3|3|0} 3{3|3|2} 3{3|3|1} 3{3|3|3}]|x};
+    {x|or/pointwise-tree b=200 depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":1,"certified":false,"widened":true,"law_failures":0,"nodes":200,"players":3,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":true}]}|x};
+    {x|or/pointwise-tree b=200 infoflow nodes=85 widened=false law_failures=0 det=true sound=true ext=[6, 6] int=[12, 12] total_mass=1 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+    {x|or/pointwise-tree b=default absint cost=[6, 6] nodes=85 widenings=0 dead=[] det=true law_failures=0 widened=false leaves=[0{0|0|0} 1{0|0|2} 2{0|0|1} 3{0|0|3} 1{0|2|0} 1{0|2|2} 3{0|2|1} 3{0|2|3} 2{0|1|0} 3{0|1|2} 2{0|1|1} 3{0|1|3} 3{0|3|0} 3{0|3|2} 3{0|3|1} 3{0|3|3} 1{2|0|0} 1{2|0|2} 3{2|0|1} 3{2|0|3} 1{2|2|0} 1{2|2|2} 3{2|2|1} 3{2|2|3} 3{2|1|0} 3{2|1|2} 3{2|1|1} 3{2|1|3} 3{2|3|0} 3{2|3|2} 3{2|3|1} 3{2|3|3} 2{1|0|0} 3{1|0|2} 2{1|0|1} 3{1|0|3} 3{1|2|0} 3{1|2|2} 3{1|2|1} 3{1|2|3} 2{1|1|0} 3{1|1|2} 2{1|1|1} 3{1|1|3} 3{1|3|0} 3{1|3|2} 3{1|3|1} 3{1|3|3} 3{3|0|0} 3{3|0|2} 3{3|0|1} 3{3|0|3} 3{3|2|0} 3{3|2|2} 3{3|2|1} 3{3|2|3} 3{3|1|0} 3{3|1|2} 3{3|1|1} 3{3|1|3} 3{3|3|0} 3{3|3|2} 3{3|3|1} 3{3|3|3}]|x};
+    {x|or/pointwise-tree b=default depgraph {"schema":"broadcast-ic/depgraph/v1","slots":3,"waves":1,"certified":true,"widened":false,"law_failures":0,"nodes":427,"players":3,"wave_starts":[0],"slot_table":[{"slot":0,"speakers":[0],"reads":[],"wave":0,"output_relevant":true},{"slot":1,"speakers":[1],"reads":[],"wave":0,"output_relevant":true},{"slot":2,"speakers":[2],"reads":[],"wave":0,"output_relevant":true}]}|x};
+    {x|or/pointwise-tree b=default infoflow nodes=85 widened=false law_failures=0 det=true sound=true ext=[6, 6] int=[12, 12] total_mass=1 leaves=[6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64 6:1/64]|x};
+  ]
+
+let random_analyzer_expected =
+  [
+    ("1", "97b5d781c8e84db462343988791dfa4a");
+    ("5", "77949aab6e4fad73bc367cb4f675273c");
+    ("13", "4cfeb9e975fafd63111fd5641e46862d");
+    ("40", "2c09b3a2ee37bbcca9b53c89ad21f804");
+    ("200", "eb90557c858bd794657380f4da08fd9e");
+    ("default", "538ae477ffa85690b60653cae00e2aec");
+  ]
+
+let t_analyzers_registry_pinned () =
+  let got = registry_analyzer_lines () in
+  Alcotest.(check int) "one expected line per case"
+    (List.length analyzer_expected)
+    (List.length got);
+  List.iter2
+    (fun expected got -> Alcotest.(check string) expected expected got)
+    analyzer_expected got
+
+let t_analyzers_random_pinned () =
+  List.iter2
+    (fun budget (label, expected) ->
+      Alcotest.(check string)
+        ("200 random trees, budget " ^ label)
+        expected
+        (random_analyzer_digest budget))
+    analyzer_budgets random_analyzer_expected
+
 let suite =
   [
     quick "async emulation without a certificate, all fault kinds"
       t_emu_pinned;
     quick "literal and factored compression runs" t_compress_pinned;
+    quick "static analyzers over the registry at six budgets"
+      t_analyzers_registry_pinned;
+    quick "static analyzers on seeded random trees at six budgets"
+      t_analyzers_random_pinned;
   ]
