@@ -286,6 +286,35 @@ let exact_div_regression () =
     speedup (exact_t *. 1e9) (div_t *. 1e9);
   ignore !sink
 
+(* Regression guard for node-id keyed compilation: [Proto.Compile]
+   keys its per-node table on [Tree.id], so its cost per node must not
+   grow with the tree. disj/bcast at n = 2 has 1,365 nodes at k = 5 and
+   21,845 at k = 7; a bounded-depth structural hash of the node (the
+   key before ids) put the k = 7 nodes into 10 buckets and read ~8.7.
+   The guard is the per-node time at k = 7 over that at k = 5. *)
+let compile_scaling_regression () =
+  let domain = Array.of_list (Proto.Semantics.all_bit_inputs 2) in
+  let per_node k reps =
+    let tree = Protocols.Disj_trees.broadcast_all ~n:2 ~k in
+    let nodes = ref 0 in
+    let t =
+      per_iter reps (fun () ->
+          nodes :=
+            Proto.Compile.node_count
+              (Proto.Compile.compile ~players:k ~domain tree))
+    in
+    (t /. float_of_int !nodes, !nodes)
+  in
+  let small_t, small_n = per_node 5 64 in
+  let big_t, big_n = per_node 7 4 in
+  let scaling = big_t /. small_t in
+  assert (scaling < 3.0);
+  Exp_util.record_f "compile_scaling" scaling;
+  Exp_util.note
+    "compile per node, disj/bcast n=2 k=7 (%d nodes) over k=5 (%d nodes): \
+     %.2f (%.0f vs %.0f ns/node)"
+    big_n small_n scaling (big_t *. 1e9) (small_t *. 1e9)
+
 let run () =
   Exp_util.heading "MICRO" "bechamel micro-benchmarks (ns per run, OLS fit)";
   let cfg =
@@ -330,4 +359,5 @@ let run () =
   null_sink_alloc_check ();
   bitvec_word_regression ();
   orbit_ic_regression ();
-  exact_div_regression ()
+  exact_div_regression ();
+  compile_scaling_regression ()

@@ -96,10 +96,10 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
     end
     else
       match t with
-      | T.Output v ->
+      | T.Output { value = v; _ } ->
           leaves := { leaf_path = path; output = v; rect } :: !leaves;
           { lo = 0; hi = 0 }
-      | T.Chance { coin; children } ->
+      | T.Chance { coin; children; _ } ->
           let live = ref [] in
           Array.iteri
             (fun i c ->
@@ -112,7 +112,7 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
             (fun acc (i, c) -> join acc (go (Path.child path i) rect c))
             None live
           |> Option.value ~default:{ lo = 0; hi = 0 }
-      | T.Speak { speaker; emit; children } ->
+      | T.Speak { speaker; emit; children; _ } ->
           let arity = Array.length children in
           let charge = T.bits_of_arity arity in
           let live = Walk.refine walk ~count:true emit ~arity rect.(speaker) in

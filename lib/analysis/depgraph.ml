@@ -128,9 +128,10 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
     else if not (Walk.tick walk) then close_off ~src ~slot a b
     else
       match (a, b) with
-      | T.Output va, T.Output vb -> if va <> vb then out_rel.(src) <- true
-      | ( T.Chance { coin = ca; children = xa },
-          T.Chance { coin = cb; children = xb } )
+      | T.Output { value = va; _ }, T.Output { value = vb; _ } ->
+          if va <> vb then out_rel.(src) <- true
+      | ( T.Chance { coin = ca; children = xa; _ },
+          T.Chance { coin = cb; children = xb; _ } )
         when Array.length xa = Array.length xb
              && dists_equal ca cb (Array.length xa) ->
           Array.iteri
@@ -138,8 +139,8 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
               if R.sign (D.prob_of ca i) > 0 then
                 cmp ~src ~v ~la ~lb ~shared ~slot ai xb.(i))
             xa
-      | ( T.Speak { speaker = ua; emit = ea; children = xa },
-          T.Speak { speaker = ub; emit = eb; children = xb } )
+      | ( T.Speak { speaker = ua; emit = ea; children = xa; _ },
+          T.Speak { speaker = ub; emit = eb; children = xb; _ } )
         when ua = ub && Array.length xa = Array.length xb ->
           let u = ua and arity = Array.length xa in
           if u <> v then begin
@@ -181,12 +182,12 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
     if Walk.tick walk then
       match t with
       | T.Output _ -> if slot > !max_slot_seen then max_slot_seen := slot
-      | T.Chance { coin; children } ->
+      | T.Chance { coin; children; _ } ->
           Array.iteri
             (fun i c ->
               if R.sign (D.prob_of coin i) > 0 then go ~slot rect c)
             children
-      | T.Speak { speaker; emit; children } ->
+      | T.Speak { speaker; emit; children; _ } ->
           if slot < n && not (List.mem speaker speakers_at.(slot)) then
             speakers_at.(slot) <- speaker :: speakers_at.(slot);
           let arity = Array.length children in

@@ -186,8 +186,9 @@ let analyze ?(budget = Absint.default_budget) ?players
   let rec go path w cm bits t =
     if Walk.tick walk then
       match t with
-      | T.Output v -> raw_leaves := (path, v, bits, cm, w) :: !raw_leaves
-      | T.Chance { coin; children } ->
+      | T.Output { value = v; _ } ->
+          raw_leaves := (path, v, bits, cm, w) :: !raw_leaves
+      | T.Chance { coin; children; _ } ->
           if not (R.equal (D.mass coin) R.one) then Walk.fail walk
           else begin
             let live = ref 0 in
@@ -203,7 +204,7 @@ let analyze ?(budget = Absint.default_budget) ?players
                   go (Path.child path i) w (R.mul cm p) bits c)
               children
           end
-      | T.Speak { speaker; emit; children } ->
+      | T.Speak { speaker; emit; children; _ } ->
           let arity = Array.length children in
           let charge = T.bits_of_arity arity in
           (* Per-symbol weight row for the speaker; other players' rows

@@ -144,7 +144,7 @@ let support_in_arity ~domain tree =
     (fun acc path t ->
       match t with
       | T.Output _ -> acc
-      | T.Chance { coin; children } ->
+      | T.Chance { coin; children; _ } ->
           check_support ~path ~what:"public coin"
             ~arity:(Array.length children) coin acc
       | T.Speak { emit; children; _ } ->
@@ -231,7 +231,7 @@ let rec next_shapes t =
   | T.Output _ -> [ Halts ]
   | T.Speak { speaker; children; _ } ->
       [ Writes (speaker, Array.length children) ]
-  | T.Chance { coin; children } ->
+  | T.Chance { coin; children; _ } ->
       let acc = ref [] in
       Array.iteri
         (fun i c ->
@@ -254,7 +254,7 @@ let broadcast_consistency tree =
     (fun acc path t ->
       match t with
       | T.Output _ | T.Speak _ -> acc
-      | T.Chance { coin; children } ->
+      | T.Chance { coin; children; _ } ->
           let sigs =
             Array.to_list children
             |> List.mapi (fun i c -> (i, c))
@@ -294,7 +294,7 @@ let dead_branch ~domain tree =
   let rec go path t =
     match t with
     | T.Output _ -> ()
-    | T.Chance { coin; children } ->
+    | T.Chance { coin; children; _ } ->
         Array.iteri
           (fun i c ->
             if R.sign (D.prob_of coin i) > 0 then go (Path.child path i) c
@@ -484,7 +484,7 @@ let unreachable_output ?budget ?players ~domain tree =
       (fold_nodes
          (fun () path t ->
            match t with
-           | T.Output v when not (Hashtbl.mem seen v) ->
+           | T.Output { value = v; _ } when not (Hashtbl.mem seen v) ->
                Hashtbl.add seen v ();
                declared := (v, path) :: !declared
            | _ -> ())

@@ -21,14 +21,14 @@ let finished t = match t.node with T.Output _ -> true | _ -> false
 
 let output_exn t =
   match t.node with
-  | T.Output v -> v
+  | T.Output { value = v; _ } -> v
   | _ -> invalid_arg "Observer.output_exn: protocol still running"
 
 (** At a [Speak] node: the speaker index, the message arity, and the
     observer's prior [nu] over the next message (normalized, float). *)
 let speak_view t =
   match t.node with
-  | T.Speak { speaker; emit; children } ->
+  | T.Speak { speaker; emit; children; _ } ->
       let arity = Array.length children in
       let mix = Array.make arity R.zero in
       List.iter
@@ -59,7 +59,7 @@ let speaker_eta t input =
     by the per-input emission likelihood. *)
 let advance_msg t m =
   match t.node with
-  | T.Speak { speaker; emit; children } ->
+  | T.Speak { speaker; emit; children; _ } ->
       let weighted =
         List.filter_map
           (fun (x, w) ->
@@ -73,7 +73,7 @@ let advance_msg t m =
 (** At a [Chance] node: the public-coin law as floats. *)
 let chance_view t =
   match t.node with
-  | T.Chance { coin; children } ->
+  | T.Chance { coin; children; _ } ->
       let arity = Array.length children in
       let law = Array.make arity 0. in
       List.iter (fun (c, p) -> law.(c) <- R.to_float p) (D.to_alist coin);

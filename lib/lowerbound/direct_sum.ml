@@ -76,10 +76,10 @@ let embed ~disj_tree ~n ~k ~j =
     in
     let rec simulate node weights =
       match node with
-      | T.Output v -> T.output (1 - v)
-      | T.Chance { coin; children } ->
+      | T.Output { value = v; _ } -> T.output (1 - v)
+      | T.Chance { coin; children; _ } ->
           T.chance ~coin (Array.map (fun c -> simulate c weights) children)
-      | T.Speak { speaker = i; emit; children } ->
+      | T.Speak { speaker = i; emit; children; _ } ->
           let arity = Array.length children in
           (* message weights per bit value *)
           let msg_weight b m =

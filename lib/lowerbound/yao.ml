@@ -23,7 +23,7 @@ module T = Proto.Tree
 let rec coin_restrictions tree =
   match tree with
   | T.Output _ -> [ (tree, R.one) ]
-  | T.Speak { speaker; emit; children } ->
+  | T.Speak { speaker; emit; children; _ } ->
       (* cartesian product of child restrictions *)
       let child_choices = Array.map coin_restrictions children in
       let rec cross i =
@@ -38,9 +38,9 @@ let rec coin_restrictions tree =
       in
       List.map
         (fun (children, w) ->
-          (T.Speak { speaker; emit; children = Array.of_list children }, w))
+          (T.speak_unguarded ~speaker ~emit (Array.of_list children), w))
         (cross 0)
-  | T.Chance { coin; children } ->
+  | T.Chance { coin; children; _ } ->
       List.concat_map
         (fun (c, w) ->
           List.map

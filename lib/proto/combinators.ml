@@ -11,26 +11,23 @@
 (** [map_output f t] applies [f] to the protocol's output; communication
     and transcripts are unchanged. *)
 let rec map_output f = function
-  | Tree.Output v -> Tree.Output (f v)
-  | Tree.Speak { speaker; emit; children } ->
-      Tree.Speak { speaker; emit; children = Array.map (map_output f) children }
-  | Tree.Chance { coin; children } ->
-      Tree.Chance { coin; children = Array.map (map_output f) children }
+  | Tree.Output { value; _ } -> Tree.output (f value)
+  | Tree.Speak { speaker; emit; children; _ } ->
+      Tree.speak_unguarded ~speaker ~emit (Array.map (map_output f) children)
+  | Tree.Chance { coin; children; _ } ->
+      Tree.chance ~coin (Array.map (map_output f) children)
 
 (** [contramap_input g t] adapts a protocol over inputs ['a] to inputs
     ['b] by pre-composing every message law with [g] — e.g. running a
     one-bit protocol on one coordinate of a vector input. *)
 let rec contramap_input g = function
-  | Tree.Output v -> Tree.Output v
-  | Tree.Speak { speaker; emit; children } ->
-      Tree.Speak
-        {
-          speaker;
-          emit = (fun b -> emit (g b));
-          children = Array.map (contramap_input g) children;
-        }
-  | Tree.Chance { coin; children } ->
-      Tree.Chance { coin; children = Array.map (contramap_input g) children }
+  | Tree.Output { value; _ } -> Tree.output value
+  | Tree.Speak { speaker; emit; children; _ } ->
+      Tree.speak_unguarded ~speaker
+        ~emit:(fun b -> emit (g b))
+        (Array.map (contramap_input g) children)
+  | Tree.Chance { coin; children; _ } ->
+      Tree.chance ~coin (Array.map (contramap_input g) children)
 
 (** [sequence t1 t2 ~combine] runs [t1] to completion, then [t2], and
     outputs [combine out1 out2]. The continuation tree is shared across
@@ -48,11 +45,11 @@ let sequence t1 t2 ~combine =
         t
   in
   let rec go = function
-    | Tree.Output v -> continuation v
-    | Tree.Speak { speaker; emit; children } ->
-        Tree.Speak { speaker; emit; children = Array.map go children }
-    | Tree.Chance { coin; children } ->
-        Tree.Chance { coin; children = Array.map go children }
+    | Tree.Output { value; _ } -> continuation value
+    | Tree.Speak { speaker; emit; children; _ } ->
+        Tree.speak_unguarded ~speaker ~emit (Array.map go children)
+    | Tree.Chance { coin; children; _ } ->
+        Tree.chance ~coin (Array.map go children)
   in
   go t1
 
@@ -80,11 +77,11 @@ let parallel_copies base ~copies =
 let xor_output_with_coin t =
   let coin = Prob.Dist_exact.uniform [ 0; 1 ] in
   let rec go = function
-    | Tree.Output v ->
-        Tree.chance ~coin [| Tree.output v; Tree.output (1 - v) |]
-    | Tree.Speak { speaker; emit; children } ->
-        Tree.Speak { speaker; emit; children = Array.map go children }
-    | Tree.Chance { coin; children } ->
-        Tree.Chance { coin; children = Array.map go children }
+    | Tree.Output { value; _ } ->
+        Tree.chance ~coin [| Tree.output value; Tree.output (1 - value) |]
+    | Tree.Speak { speaker; emit; children; _ } ->
+        Tree.speak_unguarded ~speaker ~emit (Array.map go children)
+    | Tree.Chance { coin; children; _ } ->
+        Tree.chance ~coin (Array.map go children)
   in
   go t

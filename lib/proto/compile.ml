@@ -2,15 +2,6 @@
 
 module D = Prob.Dist_exact
 
-(* Physical-identity hashing, same rationale as in {!Semantics}: cheap
-   bounded-depth structural hash, collisions only cost an extra [==]. *)
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 let kind_output = 0
 let kind_speak = 1
 let kind_chance = 2
@@ -64,7 +55,7 @@ let compile ~players:k ~domain tree =
   if k <= 0 then invalid_arg "Compile.compile: players";
   let dsize = Array.length domain in
   if dsize = 0 then invalid_arg "Compile.compile: empty domain";
-  let ids : int Phys.t = Phys.create 64 in
+  let ids : int Tree.Tbl.t = Tree.Tbl.create 64 in
   let kind = Buf.create () in
   let speaker = Buf.create () in
   let arity = Buf.create () in
@@ -111,15 +102,15 @@ let compile ~players:k ~domain tree =
     id
   in
   let rec go node =
-    match Phys.find_opt ids (Obj.repr node) with
+    match Tree.Tbl.find_opt ids (Tree.id node) with
     | Some id -> id
     | None ->
         let id =
           match node with
-          | Tree.Output v ->
-              push_node ~k:kind_output ~sp:(-1) ~ar:0 ~wd:0 ~out:v ~kids:[||]
-                ~eb:(-1) ~cl:(-1)
-          | Tree.Speak { speaker = sp; emit; children = ch } ->
+          | Tree.Output { value; _ } ->
+              push_node ~k:kind_output ~sp:(-1) ~ar:0 ~wd:0 ~out:value
+                ~kids:[||] ~eb:(-1) ~cl:(-1)
+          | Tree.Speak { speaker = sp; emit; children = ch; _ } ->
               (* Children first: postorder ids, so every child id is
                  strictly smaller than its parent's. *)
               let kids = Array.map go ch in
@@ -128,12 +119,12 @@ let compile ~players:k ~domain tree =
               push_node ~k:kind_speak ~sp ~ar:(Array.length ch)
                 ~wd:(Tree.bits_of_arity (Array.length ch))
                 ~out:(-1) ~kids ~eb ~cl:(-1)
-          | Tree.Chance { coin; children = ch } ->
+          | Tree.Chance { coin; children = ch; _ } ->
               let kids = Array.map go ch in
               push_node ~k:kind_chance ~sp:(-1) ~ar:(Array.length ch) ~wd:0
                 ~out:(-1) ~kids ~eb:(-1) ~cl:(intern coin)
         in
-        Phys.replace ids (Obj.repr node) id;
+        Tree.Tbl.replace ids (Tree.id node) id;
         id
   in
   let root = go tree in

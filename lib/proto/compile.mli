@@ -5,8 +5,8 @@
     emit-law ids live in plain [int array]s, with the exact laws (and
     one prebuilt sampler per law) interned into side tables. Node ids
     are assigned in postorder, so the root is the last node and every
-    edge goes from a higher id to a strictly lower one; physically
-    shared subtrees are compiled once and become DAG nodes.
+    edge goes from a higher id to a strictly lower one; a shared
+    subtree (one {!Tree.id}) is compiled once and becomes a DAG node.
 
     Two evaluators run the bytecode:
 
@@ -34,6 +34,8 @@ val compile : players:int -> domain:'a array -> 'a Tree.t -> t
 val players : t -> int
 val domain_size : t -> int
 val node_count : t -> int
+(** The number of distinct tree nodes: one per {!Tree.id} reachable
+    from the root, shared subtrees and leaves counted once. *)
 
 val deterministic : t -> bool
 (** [true] iff the program has no [Chance] node and every tabulated

@@ -23,7 +23,7 @@
 
     Subtree results are globally hash-consed in a canonical-state table
     (the orbit-mode extension of {!Semantics.memo}): the key is the
-    physical node, the input law, and the g-state {e up to within-block
+    node's {!Tree.id}, the input law, and the g-state {e up to within-block
     permutation of the players that never speak below the node}.
     Branches that reach a shared node with permuted-equivalent states —
     and in particular leaves, where no player speaks below — collapse
@@ -47,6 +47,7 @@ type path = {
 
 type collapsed = path list
 
+(* Input laws are keyed on their physical identity. *)
 module Phys = Hashtbl.Make (struct
   type t = Obj.t
 
@@ -58,12 +59,9 @@ type memo = {
   vec_ids : (R.t array, int) Hashtbl.t;  (* g-vector interning *)
   mutable vecs : R.t array array;  (* gid -> vector *)
   mutable n_vecs : int;
-  node_ids : int Phys.t;
-  mutable n_nodes : int;
   dist_ids : int Phys.t;
-  mutable n_dists : int;
-  speakers : int list Phys.t;  (* node -> sorted speakers of its subtree *)
-  emit_laws : R.t array array Phys.t;  (* node -> per-value emit law rows *)
+  speakers : int list Tree.Tbl.t;  (* node id -> sorted speakers below *)
+  emit_laws : R.t array array Tree.Tbl.t;  (* node id -> emit law rows *)
   group_comps : (int * int, (int array * R.t * R.t) list) Hashtbl.t;
       (* (gid, n) -> per composition of an n-player group with that
          g-vector: (composition, multinomial count, g-weight factor),
@@ -77,12 +75,9 @@ let memo () =
     vec_ids = Hashtbl.create 64;
     vecs = [||];
     n_vecs = 0;
-    node_ids = Phys.create 64;
-    n_nodes = 0;
     dist_ids = Phys.create 8;
-    n_dists = 0;
-    speakers = Phys.create 64;
-    emit_laws = Phys.create 64;
+    speakers = Tree.Tbl.create 64;
+    emit_laws = Tree.Tbl.create 64;
     group_comps = Hashtbl.create 64;
     states = Hashtbl.create 256;
   }
@@ -104,25 +99,18 @@ let intern_vec m v =
       Hashtbl.add m.vec_ids v id;
       id
 
-let phys_id tbl counter_get counter_set x =
-  let key = Obj.repr x in
-  match Phys.find_opt tbl key with
+let dist_id m dist =
+  let key = Obj.repr dist in
+  match Phys.find_opt m.dist_ids key with
   | Some id -> id
   | None ->
-      let id = counter_get () in
-      Phys.add tbl key id;
-      counter_set (id + 1);
+      let id = Phys.length m.dist_ids in
+      Phys.add m.dist_ids key id;
       id
-
-let node_id m node =
-  phys_id m.node_ids (fun () -> m.n_nodes) (fun n -> m.n_nodes <- n) node
-
-let dist_id m dist =
-  phys_id m.dist_ids (fun () -> m.n_dists) (fun n -> m.n_dists <- n) dist
 
 (* Sorted distinct players that may speak in the subtree. *)
 let rec speakers_of m node =
-  match Phys.find_opt m.speakers (Obj.repr node) with
+  match Tree.Tbl.find_opt m.speakers (Tree.id node) with
   | Some s -> s
   | None ->
       let merge a b =
@@ -138,13 +126,13 @@ let rec speakers_of m node =
         | Tree.Chance { children; _ } ->
             Array.fold_left (fun acc c -> merge acc (speakers_of m c)) [] children
       in
-      Phys.add m.speakers (Obj.repr node) s;
+      Tree.Tbl.add m.speakers (Tree.id node) s;
       s
 
 (* Emit law of a Speak node, tabulated per domain value:
    row v = [| P(emit domain.(v) = 0); ...; P(emit domain.(v) = arity-1) |]. *)
 let emit_rows m node emit domain arity =
-  match Phys.find_opt m.emit_laws (Obj.repr node) with
+  match Tree.Tbl.find_opt m.emit_laws (Tree.id node) with
   | Some rows -> rows
   | None ->
       let rows =
@@ -154,7 +142,7 @@ let emit_rows m node emit domain arity =
             Array.init arity (fun sym -> D.prob_of d sym))
           domain
       in
-      Phys.add m.emit_laws (Obj.repr node) rows;
+      Tree.Tbl.add m.emit_laws (Tree.id node) rows;
       rows
 
 (* Value compositions of an [n]-player group whose members share the
@@ -279,8 +267,7 @@ let collapse ?memo:m tree sym =
   let gid_one = intern_vec m (Array.make n_values R.one) in
   let init_gids = Array.make (Array.length blocks) gid_one in
   let rec walk node gids =
-    let nid = node_id m node in
-    let key = (nid, did, state_key m node blocks n_blocks gids) in
+    let key = (Tree.id node, did, state_key m node blocks n_blocks gids) in
     match Hashtbl.find_opt m.states key with
     | Some r -> r
     | None ->
@@ -290,7 +277,7 @@ let collapse ?memo:m tree sym =
               match leaf_cells m sym blocks n_blocks n_values gids with
               | [] -> []
               | cells -> [ { transcript = []; cells; p_t = R.zero } ])
-          | Tree.Speak { speaker; emit; children } ->
+          | Tree.Speak { speaker; emit; children; _ } ->
               let arity = Array.length children in
               let rows = emit_rows m node emit domain arity in
               let g = m.vecs.(gids.(speaker)) in
@@ -312,7 +299,7 @@ let collapse ?memo:m tree sym =
                                   Tree.Msg (speaker, sym_m) :: p.transcript;
                               })
                      end))
-          | Tree.Chance { coin; children } ->
+          | Tree.Chance { coin; children; _ } ->
               List.concat_map
                 (fun (c, wc) ->
                   walk children.(c) gids

@@ -28,7 +28,7 @@ type collapsed = path list
 
 type memo
 (** Canonical-state table shared across calls: g-vector interning plus
-    cached subtree results keyed on (physical node, input law, g-state
+    cached subtree results keyed on (node id, input law, g-state
     up to within-block permutation of never-speaking players). Not
     thread-safe: share within one domain only. *)
 

@@ -30,14 +30,14 @@ let of_transcript tree ~k transcript =
   let rec go tree transcript =
     match (tree, transcript) with
     | _, [] -> ()
-    | Tree.Speak { speaker; emit; children }, Tree.Msg (s, m) :: rest ->
+    | Tree.Speak { speaker; emit; children; _ }, Tree.Msg (s, m) :: rest ->
         if s <> speaker then
           invalid_arg "Qdecomp.of_transcript: speaker mismatch";
         for b = 0 to 1 do
           q.(speaker).(b) <- R.mul q.(speaker).(b) (D.prob_of (emit b) m)
         done;
         go children.(m) rest
-    | Tree.Chance { coin; children }, Tree.Coin c :: rest ->
+    | Tree.Chance { coin; children; _ }, Tree.Coin c :: rest ->
         common := R.mul !common (D.prob_of coin c);
         go children.(c) rest
     | _ -> invalid_arg "Qdecomp.of_transcript: transcript does not match tree"

@@ -3,27 +3,17 @@
 module D = Prob.Dist_exact
 module R = Exact.Rational
 
-(* Physical-identity hashing for protocol-tree nodes. [Hashtbl.hash] is
-   a bounded-depth structural hash, so it is cheap and total even on
-   nodes that capture closures; collisions only cost an extra [==]. *)
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 (* A law is a function of (node, inputs) alone, so a table keyed on the
-   physical node plus the structural inputs can be carried across calls
-   — unlike the per-call table below, which is only sound because the
+   node's id plus the structural inputs can be carried across calls —
+   unlike the per-call table below, which is only sound because the
    inputs are fixed for its whole lifetime. Structural equality on the
    inputs is what makes rebuilt-but-equal input arrays (every
    [all_bit_inputs] call allocates fresh ones) hit. *)
 module Cross = Hashtbl.Make (struct
-  type t = Obj.t * Obj.t  (* physical tree node, structural inputs *)
+  type t = int * Obj.t  (* tree node id, structural inputs *)
 
-  let equal (n1, x1) (n2, x2) = n1 == n2 && Stdlib.compare x1 x2 = 0
-  let hash (n, x) = Hashtbl.hash (Hashtbl.hash n, Hashtbl.hash x)
+  let equal (n1, x1) (n2, x2) = n1 = n2 && Stdlib.compare x1 x2 = 0
+  let hash (n, x) = Hashtbl.hash (n, Hashtbl.hash x)
 end)
 
 type memo = Tree.transcript D.t Cross.t
@@ -34,7 +24,7 @@ let memo_size (m : memo) = Cross.length m
 (** [transcript_dist tree inputs] is the exact law of the full transcript
     when player [i] holds [inputs.(i)].
 
-    Subtree laws are memoized per physical node within one call:
+    Subtree laws are memoized per node ({!Tree.id}) within one call:
     combinators such as {!Combinators.sequence} build DAGs in which
     subtrees are shared across many branches, and the law of a node is a
     function of the node alone once [inputs] is fixed, so each distinct
@@ -52,44 +42,44 @@ let memo_size (m : memo) = Cross.length m
     round-trip. *)
 let transcript_dist ?memo tree inputs =
   let xkey = lazy (Obj.repr inputs) in
-  let find_shared node =
+  let find_shared key =
     match memo with
     | None -> None
-    | Some tbl -> Cross.find_opt tbl (Obj.repr node, Lazy.force xkey)
+    | Some tbl -> Cross.find_opt tbl (key, Lazy.force xkey)
   in
-  let add_shared node d =
+  let add_shared key d =
     match memo with
     | None -> ()
-    | Some tbl -> Cross.replace tbl (Obj.repr node, Lazy.force xkey) d
+    | Some tbl -> Cross.replace tbl (key, Lazy.force xkey) d
   in
-  let local = Phys.create 64 in
+  let local = Tree.Tbl.create 64 in
   let rec go tree =
-    let key = Obj.repr tree in
-    match Phys.find_opt local key with
+    let key = Tree.id tree in
+    match Tree.Tbl.find_opt local key with
     | Some d -> d
     | None -> (
-        match find_shared tree with
+        match find_shared key with
         | Some d ->
-            Phys.add local key d;
+            Tree.Tbl.add local key d;
             d
         | None ->
             let d =
               match tree with
               | Tree.Output _ -> D.return []
-              | Tree.Speak { speaker; emit; children } ->
+              | Tree.Speak { speaker; emit; children; _ } ->
                   let msg_dist = emit inputs.(speaker) in
                   D.bind_disjoint msg_dist (fun m ->
                       D.map_injective
                         (fun rest -> Tree.Msg (speaker, m) :: rest)
                         (go children.(m)))
-              | Tree.Chance { coin; children } ->
+              | Tree.Chance { coin; children; _ } ->
                   D.bind_disjoint coin (fun c ->
                       D.map_injective
                         (fun rest -> Tree.Coin c :: rest)
                         (go children.(c)))
             in
-            Phys.add local key d;
-            add_shared tree d;
+            Tree.Tbl.add local key d;
+            add_shared key d;
             d)
   in
   go tree

@@ -8,7 +8,7 @@
 
 type memo
 (** A transcript-law cache shared {e across} calls, keyed on the
-    physical tree node plus the structural input profile — one law is
+    tree node's {!Tree.id} plus the structural input profile — one law is
     computed once per (node, inputs) pair no matter how many sweeps
     revisit it. Sound because a law is a function of exactly that pair.
     Not thread-safe: share within one domain only. *)

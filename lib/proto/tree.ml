@@ -19,16 +19,18 @@ module D = Prob.Dist_exact
 module R = Exact.Rational
 
 type 'a t =
-  | Output of int
+  | Output of { value : int; id : int }
   | Speak of {
       speaker : int;  (** index of the player writing this message *)
       emit : 'a -> int D.t;
           (** law of the message symbol given the speaker's input *)
       children : 'a t array;  (** one child per message symbol *)
+      id : int;
     }
   | Chance of {
       coin : int D.t;  (** public coin, visible to all, free of charge *)
       children : 'a t array;
+      id : int;
     }
 
 (** One observable event of an execution. [Msg] events are written on
@@ -38,39 +40,69 @@ type event = Msg of int * int  (** speaker, symbol *) | Coin of int
 
 type transcript = event list
 
-let output v = Output v
+(* Node ids: one counter for every domain, so trees built concurrently
+   under [Par] still get pairwise distinct ids. *)
+let next_id = Atomic.make 0
+let fresh () = Atomic.fetch_and_add next_id 1
+
+let id = function
+  | Output { id; _ } | Speak { id; _ } | Chance { id; _ } -> id
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
+
+let output value = Output { value; id = fresh () }
+
+let speak_unguarded ~speaker ~emit children =
+  Speak { speaker; emit; children; id = fresh () }
+
+let check_speak ~speaker children =
+  if Array.length children = 0 then invalid_arg "Tree.speak: no children";
+  if speaker < 0 then invalid_arg "Tree.speak: negative speaker"
+
+let check_symbol arity s =
+  if s < 0 || s >= arity then
+    invalid_arg
+      (Printf.sprintf
+         "Tree.speak: emit support includes symbol %d outside arity %d" s
+         arity)
 
 let speak ~speaker ~emit children =
-  if Array.length children = 0 then invalid_arg "Tree.speak: no children";
-  if speaker < 0 then invalid_arg "Tree.speak: negative speaker";
+  check_speak ~speaker children;
   (* [emit] is an arbitrary closure, so its support can only be checked
      when it is evaluated: wrap it so a symbol without a continuation
      subtree is rejected at the first evaluation instead of indexing out
-     of bounds deep inside the semantics. Hand-built [Speak] records
-     bypass this guard; the proto-lint analyzer ({!Analysis}) reports
-     them statically. *)
+     of bounds deep inside the semantics. [speak_unguarded] bypasses
+     this guard; the proto-lint analyzer ({!Analysis}) reports such
+     nodes statically. *)
   let arity = Array.length children in
   let emit x =
     let d = emit x in
-    List.iter
-      (fun s ->
-        if s < 0 || s >= arity then
-          invalid_arg
-            (Printf.sprintf
-               "Tree.speak: emit support includes symbol %d outside arity %d"
-               s arity))
-      (D.support d);
+    List.iter (check_symbol arity) (D.support d);
     d
   in
-  Speak { speaker; emit; children }
+  speak_unguarded ~speaker ~emit children
 
 let chance ~coin children =
   if Array.length children = 0 then invalid_arg "Tree.chance: no children";
-  Chance { coin; children }
+  Chance { coin; children; id = fresh () }
 
-(** Deterministic message: the speaker writes [f input] directly. *)
+(** Deterministic message: the speaker writes [f input] directly. The
+    arity guard of [speak] is fused into the one closure that wraps [f]:
+    a point mass's support is its one symbol. *)
 let speak_det ~speaker ~f children =
-  speak ~speaker ~emit:(fun x -> D.return (f x)) children
+  check_speak ~speaker children;
+  let arity = Array.length children in
+  let emit x =
+    let s = f x in
+    check_symbol arity s;
+    D.return s
+  in
+  speak_unguarded ~speaker ~emit children
 
 let bits_of_arity n = Coding.Intcode.fixed_width n
 
@@ -116,7 +148,7 @@ let rec transcript_bits tree transcript =
 (** The output at the end of a complete transcript. *)
 let rec output_of tree transcript =
   match (tree, transcript) with
-  | Output v, [] -> v
+  | Output { value; _ }, [] -> value
   | Speak { children; _ }, Msg (_, m) :: rest -> output_of children.(m) rest
   | Chance { children; _ }, Coin c :: rest -> output_of children.(c) rest
   | _ -> invalid_arg "Tree.output_of: transcript does not match tree"

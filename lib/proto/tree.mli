@@ -15,23 +15,26 @@
     [q]-decomposition are exact; information quantities take float
     logarithms only at the very end.
 
-    The constructors are exposed (rather than kept abstract) because the
-    lower-bound machinery ({!Lowerbound}) structurally transforms trees
-    — e.g. the Lemma-1 direct-sum embedding rebuilds a tree node by
-    node. *)
+    The constructors are exposed for pattern matching (the lower-bound
+    machinery ({!Lowerbound}) structurally transforms trees — e.g. the
+    Lemma-1 direct-sum embedding rebuilds a tree node by node) but the
+    type is [private]: a node is built only by the constructors below,
+    which is what makes its {!id} unique. *)
 
-type 'a t =
-  | Output of int
+type 'a t = private
+  | Output of { value : int; id : int }
   | Speak of {
       speaker : int;  (** index of the player writing this message *)
       emit : 'a -> int Prob.Dist_exact.t;
           (** law of the message symbol given the speaker's input *)
       children : 'a t array;  (** one child per message symbol *)
+      id : int;
     }
   | Chance of {
       coin : int Prob.Dist_exact.t;
           (** public coin, visible to all, free of charge *)
       children : 'a t array;
+      id : int;
     }
 
 (** One observable event of an execution. [Msg (i, m)] is written on the
@@ -41,7 +44,9 @@ type event = Msg of int * int | Coin of int
 
 type transcript = event list
 
-(** {1 Smart constructors} *)
+(** {1 Constructors}
+
+    Every constructor draws a fresh node id, leaves included. *)
 
 val output : int -> 'a t
 
@@ -50,13 +55,38 @@ val speak : speaker:int -> emit:('a -> int Prob.Dist_exact.t) -> 'a t array -> '
     The message law is guarded: each evaluation of [emit] checks that
     its support lies inside [[0, Array.length children)] and raises
     [Invalid_argument] otherwise (necessarily at evaluation time —
-    [emit] is an arbitrary closure). Hand-built [Speak] records bypass
-    the guard; the proto-lint analyzer reports them statically. *)
+    [emit] is an arbitrary closure). *)
 
 val speak_det : speaker:int -> f:('a -> int) -> 'a t array -> 'a t
-(** Deterministic message: the speaker writes [f input]. *)
+(** Deterministic message: the speaker writes [f input]. Checked as
+    {!speak} is, with the same [Invalid_argument] when [f] returns a
+    symbol outside the arity. *)
+
+val speak_unguarded :
+  speaker:int -> emit:('a -> int Prob.Dist_exact.t) -> 'a t array -> 'a t
+(** A [Speak] node exactly as given: no check on the speaker or the
+    children, and [emit] is not wrapped in the arity guard. For
+    rebuilding a node whose [emit] is already guarded (the
+    {!Combinators}, {!Lowerbound.Yao}) and for malformed fixtures; the
+    proto-lint analyzer ({!Analysis}) reports a bad node statically. *)
 
 val chance : coin:int Prob.Dist_exact.t -> 'a t array -> 'a t
+(** @raise Invalid_argument on an empty child array. The coin is not
+    checked; proto-lint reports an unnormalized or out-of-arity one. *)
+
+(** {1 Node identity} *)
+
+val id : 'a t -> int
+(** The node's id. Ids are unique: each constructor call draws the
+    next one from a single atomic counter, so no two nodes share one,
+    even when built concurrently on several domains, and no code outside
+    this module can forge or copy a node. An id stands for the node's
+    physical identity and serves only as a table key: ids are never
+    printed, and nothing orders or iterates on them, so no output
+    depends on the order nodes were built in. *)
+
+module Tbl : Hashtbl.S with type key = int
+(** Tables keyed on node ids, for per-node memos. *)
 
 (** {1 Static measures} *)
 

@@ -34,6 +34,8 @@ type entry =
               is soundness-checked by {!symmetry_witness} in the test
               sweep. Defaults to trivial. *)
       note : string;
+      program : Proto.Compile.t Lazy.t;
+          (** the tree compiled by {!Proto.Compile}, built on first use *)
     }
       -> entry
 
@@ -46,7 +48,12 @@ let symmetry (Entry e) = e.symmetry
 
 let entry ~name ~players ?declared_cost ?spec ?(symmetry = Proto.Symmetry.Trivial)
     ?(note = "") ~domain tree =
-  Entry { name; players; domain; tree; declared_cost; spec; symmetry; note }
+  let program =
+    lazy (Proto.Compile.compile ~players ~domain (Lazy.force tree))
+  in
+  Entry
+    { name; players; domain; tree; declared_cost; spec; symmetry; note;
+      program }
 
 (** Soundness check of the declared symmetry: [None] when the entry's
     output law is invariant under the whole declared group; otherwise a
@@ -193,8 +200,8 @@ let run_on_board (Entry { name; players; domain; tree; _ }) ~seed =
   let rounds = ref 0 in
   let rec walk node =
     match node with
-    | Proto.Tree.Output v -> v
-    | Proto.Tree.Speak { speaker; emit; children } ->
+    | Proto.Tree.Output { value = v; _ } -> v
+    | Proto.Tree.Speak { speaker; emit; children; _ } ->
         let round = !rounds in
         incr rounds;
         if traced then Obs.Trace.emit (Obs.Event.Round_start { round });
@@ -208,7 +215,7 @@ let run_on_board (Entry { name; players; domain; tree; _ }) ~seed =
             (Obs.Event.Round_end
                { round; bits = Coding.Intcode.fixed_width arity });
         walk children.(msg)
-    | Proto.Tree.Chance { coin; children } -> walk children.(sample_int coin)
+    | Proto.Tree.Chance { coin; children; _ } -> walk children.(sample_int coin)
   in
   let output = Obs.Trace.with_span ("registry/" ^ name) (fun () -> walk (Lazy.force tree)) in
   if Obs.Metrics.enabled () then begin
@@ -220,19 +227,10 @@ let run_on_board (Entry { name; players; domain; tree; _ }) ~seed =
 (* ------------------------------------------------------------------ *)
 (* Compiled VM run mode: the same observable run as [run_on_board],    *)
 (* but off the flat bytecode from [Proto.Compile] instead of the tree  *)
-(* walker. Programs are compiled once per entry and cached; the cache  *)
-(* key is the entry name, which [register] keeps unique.               *)
+(* walker. Each entry carries its own program, compiled once.          *)
 (* ------------------------------------------------------------------ *)
 
-let compiled_cache : (string, Proto.Compile.t) Hashtbl.t = Hashtbl.create 16
-
-let compiled (Entry { name; players; domain; tree; _ }) =
-  match Hashtbl.find_opt compiled_cache name with
-  | Some p -> p
-  | None ->
-      let p = Proto.Compile.compile ~players ~domain (Lazy.force tree) in
-      Hashtbl.add compiled_cache name p;
-      p
+let compiled (Entry e) = Lazy.force e.program
 
 (** Byte-identical to {!run_on_board} on the same seed: the input draws
     are the same, and each visited node draws from a sampler built from
@@ -319,7 +317,7 @@ let hosted (Entry { players = k; domain; tree; _ }) ~seed =
     in
     let rec go node writes =
       match (node, writes) with
-      | Proto.Tree.Chance { coin; children }, _ ->
+      | Proto.Tree.Chance { coin; children; _ }, _ ->
           go children.(sample coin) writes
       | Proto.Tree.Output _, _ | Proto.Tree.Speak _, [] -> node
       | Proto.Tree.Speak { children; _ }, w :: rest ->
@@ -341,7 +339,7 @@ let hosted (Entry { players = k; domain; tree; _ }) ~seed =
   let priv = Blackboard.Runtime.private_rngs ~seed ~k in
   let speak p board =
     match replay board with
-    | Proto.Tree.Speak { speaker; emit; children } when speaker = p ->
+    | Proto.Tree.Speak { speaker; emit; children; _ } when speaker = p ->
         let msg =
           Prob.Sampler.draw
             (Prob.Sampler.create
@@ -359,7 +357,7 @@ let hosted (Entry { players = k; domain; tree; _ }) ~seed =
   in
   let output_of board =
     match replay board with
-    | Proto.Tree.Output v -> Some v
+    | Proto.Tree.Output { value = v; _ } -> Some v
     | _ -> None
   in
   { k; schedule; players; input_indices; output_of }

@@ -25,6 +25,9 @@ type entry =
               is soundness-checked by {!symmetry_witness} in the test
               sweep. Defaults to trivial. *)
       note : string;
+      program : Proto.Compile.t Lazy.t;
+          (** the tree compiled by {!Proto.Compile} from this entry's
+              players and domain, built on first use; see {!compiled} *)
     }
       -> entry
 
@@ -74,8 +77,9 @@ val run_on_board : entry -> seed:int -> run
     returned board. *)
 
 val compiled : entry -> Proto.Compile.t
-(** The entry's tree flattened by {!Proto.Compile.compile}, memoized
-    per entry name (names are unique, enforced by {!register}). *)
+(** The entry's tree flattened by {!Proto.Compile.compile}: the entry's
+    own [program], compiled on first use and kept with the entry, so two
+    entries never share a program, even under the same name. *)
 
 val run_on_board_compiled : entry -> seed:int -> run
 (** Same observable run as {!run_on_board} — same input draws, same

@@ -24,7 +24,7 @@ let seq k = Protocols.And_protocols.sequential k
 let raw_dist pairs : int D.t = { MD.items = Array.of_list pairs; index = None }
 
 (* A Speak node built behind the smart constructor's back. *)
-let raw_speak ~speaker ~emit children = T.Speak { speaker; emit; children }
+let raw_speak = T.speak_unguarded
 
 let rules_of report =
   List.map (fun d -> d.Rep.rule) (Rep.to_list report)
@@ -57,11 +57,9 @@ let t_dist_normalized_flags () =
   check_flags ~msg:"mass 1/2 emit" Ru.id_dist_normalized report;
   Alcotest.(check bool) "error severity" true (Rep.has_errors report);
   let coin_tree =
-    T.Chance
-      {
-        coin = raw_dist [ (0, R.of_ints 2 3) ];
-        children = [| T.output 0; T.output 1 |];
-      }
+    T.chance
+      ~coin:(raw_dist [ (0, R.of_ints 2 3) ])
+      [| T.output 0; T.output 1 |]
   in
   check_flags ~msg:"mass 2/3 coin" Ru.id_dist_normalized
     (Ru.dist_normalized ~domain:bit_domain coin_tree)
@@ -82,7 +80,7 @@ let t_support_in_arity_flags () =
   check_flags ~msg:"symbol 2 at arity 2" Ru.id_support_in_arity report;
   Alcotest.(check bool) "error severity" true (Rep.has_errors report);
   let coin_tree =
-    T.Chance { coin = D.uniform [ 0; 3 ]; children = [| T.output 0; T.output 1 |] }
+    T.chance ~coin:(D.uniform [ 0; 3 ]) [| T.output 0; T.output 1 |]
   in
   check_flags ~msg:"coin symbol 3 at arity 2" Ru.id_support_in_arity
     (Ru.support_in_arity ~domain:bit_domain coin_tree)
@@ -129,15 +127,11 @@ let t_broadcast_consistency_flags () =
   (* Zero-probability branches may disagree: only realizable schedule
      divergence counts. *)
   let benign =
-    T.Chance
-      {
-        coin = D.return 0;
-        children =
-          [|
-            T.speak_det ~speaker:0 ~f:(fun b -> b) leafy;
-            T.speak_det ~speaker:1 ~f:(fun b -> b) leafy;
-          |];
-      }
+    T.chance ~coin:(D.return 0)
+      [|
+        T.speak_det ~speaker:0 ~f:(fun b -> b) leafy;
+        T.speak_det ~speaker:1 ~f:(fun b -> b) leafy;
+      |]
   in
   check_silent ~msg:"dead branch disagreement ignored"
     (Ru.broadcast_consistency benign)

@@ -24,12 +24,12 @@ let reference_walk tree ~inputs ~rng =
     Prob.Sampler.draw (Prob.Sampler.create (D.to_float_dist law)) rng
   in
   let rec walk = function
-    | T.Output v -> v
-    | T.Speak { speaker; emit; children } ->
+    | T.Output { value = v; _ } -> v
+    | T.Speak { speaker; emit; children; _ } ->
         let msg = sample (emit inputs.(speaker)) in
         events := (speaker, Array.length children, msg) :: !events;
         walk children.(msg)
-    | T.Chance { coin; children } -> walk children.(sample coin)
+    | T.Chance { coin; children; _ } -> walk children.(sample coin)
   in
   let out = walk tree in
   (out, List.rev !events)
@@ -219,6 +219,97 @@ let batch_rejects_randomized () =
         (fun () ->
           ignore (C.exec_batch p ~input_indices:[| [| 0; 0; 0; 0 |] |]))
 
+(* Random DAGs with sharing: a child is often a subtree or an [Output]
+   leaf already placed elsewhere in the tree. Compile must keep exactly
+   one program node per physically distinct tree node. *)
+let random_dag ~rng ~k ~depth =
+  let int n = Prob.Rng.int rng n in
+  let leaves = Array.init (1 + int 3) (fun v -> T.output v) in
+  let built = ref [||] in
+  let rec go depth =
+    if depth = 0 || int 5 = 0 then
+      if int 2 = 0 then leaves.(int (Array.length leaves))
+      else T.output (int 2)
+    else if Array.length !built > 0 && int 3 = 0 then
+      !built.(int (Array.length !built))
+    else begin
+      let arity = 2 + int 2 in
+      let children = Array.init arity (fun _ -> go (depth - 1)) in
+      let node =
+        if int 4 = 0 then
+          T.chance ~coin:(D.uniform (List.init arity Fun.id)) children
+        else
+          let speaker = int k and m0 = int arity and m1 = int arity in
+          T.speak_det ~speaker ~f:(fun b -> if b = 0 then m0 else m1) children
+      in
+      built := Array.append !built [| node |];
+      node
+    end
+  in
+  go depth
+
+(* Oracle: physically distinct nodes reachable from the root, found by
+   a walk that remembers every visited node in a [==]-list. *)
+let distinct_nodes tree =
+  let seen = ref [] in
+  let rec visit node =
+    if not (List.exists (fun n -> n == node) !seen) then begin
+      seen := node :: !seen;
+      match node with
+      | T.Output _ -> ()
+      | T.Speak { children; _ } | T.Chance { children; _ } ->
+          Array.iter visit children
+    end
+  in
+  visit tree;
+  List.length !seen
+
+let prop_node_count_keeps_sharing =
+  qtest "node_count = physically distinct nodes on shared DAGs" ~count:200
+    QCheck.small_nat (fun seed ->
+      let rng = Prob.Rng.of_int_seed seed in
+      let tree = random_dag ~rng ~k ~depth:(2 + Prob.Rng.int rng 5) in
+      let p = C.compile ~players:k ~domain:bit_domain tree in
+      C.node_count p = distinct_nodes tree)
+
+(* Pinned program sizes of the large exact trees the benchmark compiles.
+   Neither shares a subtree: disj/bcast at n = 2 is the full 4-ary tree
+   of k two-bit announcements, (4^(k+1) - 1) / 3 nodes, and and/bcast at
+   k = 12 the full binary tree, 2^13 - 1 nodes. *)
+let pinned_node_counts () =
+  let vec2 = Array.of_list (Sem.all_bit_inputs 2) in
+  List.iter
+    (fun (k, expected) ->
+      let tree = Protocols.Disj_trees.broadcast_all ~n:2 ~k in
+      Alcotest.(check int)
+        (Printf.sprintf "disj/bcast n=2 k=%d" k)
+        expected
+        (C.node_count (C.compile ~players:k ~domain:vec2 tree)))
+    [ (7, 21_845); (8, 87_381) ];
+  Alcotest.(check int) "and/bcast k=12" 8_191
+    (C.node_count
+       (C.compile ~players:12 ~domain:bit_domain
+          (Protocols.And_protocols.broadcast_all 12)))
+
+(* [Registry.entry] does not make names unique ([register] does), so two
+   entries may share one: each must still run its own tree. *)
+let registry_same_name_entries () =
+  let make tree =
+    Protocols.Registry.entry ~name:"test/same-name" ~players:2
+      ~domain:bit_domain (lazy tree)
+  in
+  let writes s =
+    T.speak_det ~speaker:0 ~f:(fun _ -> s) [| T.output 0; T.output 1 |]
+  in
+  let ones = make (writes 1) and zeros = make (writes 0) in
+  List.iter
+    (fun (entry, expected) ->
+      let r = Protocols.Registry.run_on_board_compiled entry ~seed:0 in
+      Alcotest.(check int) "own program's output" expected r.output;
+      Alcotest.(check int) "own program's output, tree walker" expected
+        (Protocols.Registry.run_on_board entry ~seed:0).output)
+    [ (ones, 1); (zeros, 0); (ones, 1) ]
+
 let suite =
   [
     prop_scalar_differential;
@@ -228,4 +319,9 @@ let suite =
     quick "registry: batched sweep matches specs" registry_sweep_matches_spec;
     quick "golden: and/sequential bytecode pinned" golden_and_sequential;
     quick "exec_batch rejects randomized programs" batch_rejects_randomized;
+    prop_node_count_keeps_sharing;
+    quick "pinned node counts: disj/bcast k=7,8, and/bcast k=12"
+      pinned_node_counts;
+    quick "registry: same-named entries keep their own programs"
+      registry_same_name_entries;
   ]

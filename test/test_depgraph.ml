@@ -88,12 +88,9 @@ let t_coin_chain () =
 
 let t_law_failure_no_certificate () =
   let tree =
-    T.Speak
-      {
-        speaker = 0;
-        emit = (fun b -> if b = 1 then failwith "boom" else D.return 0);
-        children = [| T.output 0; T.output 1 |];
-      }
+    T.speak_unguarded ~speaker:0
+      ~emit:(fun b -> if b = 1 then failwith "boom" else D.return 0)
+      [| T.output 0; T.output 1 |]
   in
   let dg = Dg.analyze ~domain:bit_domain tree in
   Alcotest.(check bool) "law failures seen" true (dg.Dg.law_failures > 0);

@@ -348,17 +348,15 @@ let random_analyzer_tree rng ~det ~d ~k ~depth =
       match int 10 with
       | 0 ->
           let z = int arity in
-          T.Chance
-            {
-              coin =
-                D.of_weighted
-                  (List.filter_map
-                     (fun s -> if s = z then None else Some (s, R.one))
-                     (List.init arity Fun.id));
-              children;
-            }
-      | 1 -> T.Chance { coin = raw_dist [ (0, R.half) ]; children }
-      | 2 -> T.Chance { coin = law arity; children }
+          T.chance
+            ~coin:
+              (D.of_weighted
+                 (List.filter_map
+                    (fun s -> if s = z then None else Some (s, R.one))
+                    (List.init arity Fun.id)))
+            children
+      | 1 -> T.chance ~coin:(raw_dist [ (0, R.half) ]) children
+      | 2 -> T.chance ~coin:(law arity) children
       | _ ->
           let laws = Array.init d (fun _ -> law arity) in
           let bad = int d in
@@ -377,7 +375,7 @@ let random_analyzer_tree rng ~det ~d ~k ~depth =
                   else laws.(x)
             | _ -> fun x -> laws.(x)
           in
-          T.Speak { speaker = int k; emit; children }
+          T.speak_unguarded ~speaker:(int k) ~emit children
     end
   in
   go depth

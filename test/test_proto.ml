@@ -256,6 +256,59 @@ let t_speak_rejects_wide_support () =
   Alcotest.(check int) "guarded tree still runs" 1
     (D.size (Sem.transcript_dist ok [| 1 |]))
 
+(* [speak_det] fuses [speak]'s arity guard into the one closure that
+   wraps [f]; a symbol below 0 or at the arity must raise exactly what
+   the guard of [speak] raises on the same point mass. *)
+let t_speak_det_rejects_out_of_arity () =
+  let leaves () = [| T.output 0; T.output 1 |] in
+  List.iter
+    (fun s ->
+      let expected =
+        Invalid_argument
+          (Printf.sprintf
+             "Tree.speak: emit support includes symbol %d outside arity 2" s)
+      in
+      let det = T.speak_det ~speaker:0 ~f:(fun _ -> s) (leaves ()) in
+      let law = T.speak ~speaker:0 ~emit:(fun _ -> D.return s) (leaves ()) in
+      Alcotest.check_raises (Printf.sprintf "speak_det, symbol %d" s) expected
+        (fun () -> ignore (Sem.transcript_dist det [| 1 |]));
+      Alcotest.check_raises (Printf.sprintf "speak, symbol %d" s) expected
+        (fun () -> ignore (Sem.transcript_dist law [| 1 |])))
+    [ -1; 2 ];
+  let ok = T.speak_det ~speaker:0 ~f:(fun b -> b) (leaves ()) in
+  Alcotest.(check int) "in-arity symbols still run" 1
+    (D.size (Sem.transcript_dist ok [| 1 |]))
+
+(* Node ids come from one atomic counter: trees built at the same time
+   on four domains, by every constructor, never share an id, and a node
+   reached twice through sharing keeps its one id. *)
+let t_ids_distinct_across_domains () =
+  let build i =
+    match i mod 4 with
+    | 0 -> seq (3 + (i mod 5))
+    | 1 ->
+        Protocols.And_protocols.noisy_sequential ~k:4
+          ~noise:(R.of_ints 1 10)
+    | 2 -> Proto.Combinators.map_output (fun v -> 1 - v) (bcast 4)
+    | _ -> Proto.Combinators.xor_output_with_coin (bcast 4)
+  in
+  let trees = Par.parallel_map ~domains:4 build (List.init 64 Fun.id) in
+  let owner : (int, int T.t) Hashtbl.t = Hashtbl.create 4096 in
+  let rec visit node =
+    let id = T.id node in
+    match Hashtbl.find_opt owner id with
+    | Some other ->
+        if other != node then Alcotest.failf "two nodes share id %d" id
+    | None -> (
+        Hashtbl.add owner id node;
+        match node with
+        | T.Output _ -> ()
+        | T.Speak { children; _ } | T.Chance { children; _ } ->
+            Array.iter visit children)
+  in
+  List.iter visit trees;
+  Alcotest.(check bool) "every tree walked" true (Hashtbl.length owner > 64)
+
 (* --- memoized transcript law vs the unmemoized reference ----------- *)
 (* [Sem.transcript_dist] memoizes subtree laws per physical node and
    uses the dedupe-free monadic fast paths. This reference is the
@@ -267,10 +320,10 @@ let reference_transcript_dist tree inputs =
   let rec go tree =
     match tree with
     | T.Output _ -> D.return []
-    | T.Speak { speaker; emit; children } ->
+    | T.Speak { speaker; emit; children; _ } ->
         D.bind (emit inputs.(speaker)) (fun m ->
             D.map (fun rest -> T.Msg (speaker, m) :: rest) (go children.(m)))
-    | T.Chance { coin; children } ->
+    | T.Chance { coin; children; _ } ->
         D.bind coin (fun c ->
             D.map (fun rest -> T.Coin c :: rest) (go children.(c)))
   in
@@ -332,6 +385,9 @@ let suite =
     quick "Lemma 4 posterior = direct Bayes" t_posterior_formula_matches_bayes;
     quick "transcript mismatch raises" t_transcript_mismatch_raises;
     quick "speak rejects out-of-arity support" t_speak_rejects_wide_support;
+    quick "speak_det rejects out-of-arity symbols like speak"
+      t_speak_det_rejects_out_of_arity;
+    quick "node ids distinct across domains" t_ids_distinct_across_domains;
     quick "memoized law = reference law (full registry)"
       t_memoized_law_matches_reference;
   ]
