@@ -315,6 +315,47 @@ let compile_scaling_regression () =
      %.2f (%.0f vs %.0f ns/node)"
     big_n small_n scaling (big_t *. 1e9) (small_t *. 1e9)
 
+(* Allocation guard for the netsim queue: minor words per message
+   delivered through [Netsim.Sim] alone, after one warm-up wave. The
+   traffic is RBC-shaped: 10 slots at k = 10 and jitter 0, where a
+   player's first receipt of a phase of a slot fans the next phase out
+   to its k - 1 peers (1,800 messages). A warm radix heap over recycled
+   int columns allocates the 5-word envelope it hands to [deliver]; the
+   binary heap of boxed records it replaced read 9.31. *)
+let sim_alloc_regression () =
+  let module Sim = Netsim.Sim in
+  let k = 10 and slots = 10 in
+  (* A message's handle is [3 * slot + phase]. *)
+  let seen = Array.make (3 * slots * k) false in
+  let wave () =
+    Array.fill seen 0 (Array.length seen) false;
+    let sim = Sim.create ~seed:1 () in
+    let fan_out src h =
+      for dst = 0 to k - 1 do
+        if dst <> src then ignore (Sim.send sim ~src ~dst ~bits:8 h)
+      done
+    in
+    for slot = 0 to slots - 1 do
+      fan_out (slot mod k) (3 * slot)
+    done;
+    Sim.run sim ~deliver:(fun env ->
+        let h = env.Sim.payload and p = env.Sim.dst in
+        if not seen.((k * h) + p) then begin
+          seen.((k * h) + p) <- true;
+          if h mod 3 < 2 then fan_out p (h + 1)
+        end);
+    Sim.delivered sim
+  in
+  ignore (wave ());
+  let before = Gc.minor_words () in
+  let delivered = wave () in
+  let words = (Gc.minor_words () -. before) /. float_of_int delivered in
+  assert (words < 6.0);
+  Exp_util.record_f "sim_words_per_msg" words;
+  Exp_util.note
+    "netsim queue, warm wave of %d messages: %.2f minor words per message"
+    delivered words
+
 let run () =
   Exp_util.heading "MICRO" "bechamel micro-benchmarks (ns per run, OLS fit)";
   let cfg =
@@ -360,4 +401,5 @@ let run () =
   bitvec_word_regression ();
   orbit_ic_regression ();
   exact_div_regression ();
-  compile_scaling_regression ()
+  compile_scaling_regression ();
+  sim_alloc_regression ()

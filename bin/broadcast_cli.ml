@@ -786,8 +786,8 @@ let run_protocol_cmd =
     Arg.(value & opt string ""
          & info [ "faults" ] ~docv:"SPEC"
              ~doc:"Fault plan: comma-separated $(b,crash:P), \
-                   $(b,crash:P@S), $(b,drop:F), $(b,delay:J), \
-                   $(b,equiv:P).")
+                   $(b,crash:P@S), $(b,drop:F), $(b,delay:J) with \
+                   J at most 2^30, $(b,equiv:P).")
   in
   let max_writes =
     Arg.(value & opt int 1_000_000

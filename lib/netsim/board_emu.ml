@@ -42,7 +42,9 @@ let error_message = function
 (* Wire format: every point-to-point message is a real packed bit      *)
 (* string — 2-bit phase tag, gamma0 slot number, gamma0 payload        *)
 (* length, payload — so the measured overhead is the length of an      *)
-(* actual self-delimiting encoding.                                    *)
+(* actual self-delimiting encoding. One wire goes to all peers of a     *)
+(* fan-out and is decoded once, on the receive path, by its first      *)
+(* delivery.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let encode ~slot phase value =
@@ -204,6 +206,20 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
           (fun _ -> Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ()))
           launches
       in
+      (* The wave's fan-outs, by the handle their messages carry: each
+         decodes its wire when first delivered. *)
+      let fanouts = ref [||] and n_fanouts = ref 0 in
+      let fan_out wire =
+        let decoded = lazy (decode wire) and h = !n_fanouts in
+        if h = Array.length !fanouts then begin
+          let grown = Array.make (max 16 (2 * h)) decoded in
+          Array.blit !fanouts 0 grown 0 h;
+          fanouts := grown
+        end;
+        !fanouts.(h) <- decoded;
+        n_fanouts := h + 1;
+        h
+      in
       let traced = Obs.Trace.enabled () in
       let rec do_actions ~slot p actions =
         List.iter
@@ -223,10 +239,13 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
           do_actions ~slot p
             (Rbc.handle machines.(slot - wstart).(p) ~from:p phase v);
           let wire = encode ~slot phase v in
-          let wire_alt =
+          let h = fan_out wire in
+          (* An equivocator's odd-indexed peers get a second wire. *)
+          let wire_odd, h_odd =
             if phase = Rbc.Send && equivocator.(p) then
-              Some (encode ~slot phase (corrupt v))
-            else None
+              let alt = encode ~slot phase (corrupt v) in
+              (alt, fan_out alt)
+            else (wire, h)
           in
           let dst = ref 0 in
           while !dst < k && not crashed.(p) do
@@ -234,13 +253,10 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
               if sends_by.(p) >= crash_budget.(p) then crashed.(p) <- true
               else begin
                 sends_by.(p) <- sends_by.(p) + 1;
-                let wire =
-                  match wire_alt with
-                  | Some alt when !dst mod 2 = 1 -> alt
-                  | _ -> wire
-                in
-                let bits = Coding.Bitvec.length wire in
-                if Sim.send sim ~src:p ~dst:!dst ~bits wire then begin
+                let odd = !dst mod 2 = 1 in
+                let bits = Coding.Bitvec.length (if odd then wire_odd else wire) in
+                if Sim.send sim ~src:p ~dst:!dst ~bits (if odd then h_odd else h)
+                then begin
                   net_bits := !net_bits + bits;
                   incr
                     (match phase with
@@ -276,7 +292,7 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
       Sim.run sim ~deliver:(fun env ->
           let dst = env.Sim.dst in
           if not crashed.(dst) then begin
-            let phase, slot, value = decode env.Sim.payload in
+            let phase, slot, value = Lazy.force !fanouts.(env.Sim.payload) in
             let i = slot - wstart in
             if i >= 0 && i < Array.length launches then
               do_actions ~slot dst

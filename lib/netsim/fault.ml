@@ -35,8 +35,12 @@ let parse_item item =
               Error (Printf.sprintf "drop:%s: expected probability in [0,1]" value))
       | "delay" -> (
           match int_of_string_opt value with
-          | Some j when j >= 0 -> Ok (Delay { max_jitter = j })
-          | _ -> Error (Printf.sprintf "delay:%s: bad jitter bound" value))
+          | Some j when j >= 0 && j <= Sim.max_jitter_bound ->
+              Ok (Delay { max_jitter = j })
+          | _ ->
+              Error
+                (Printf.sprintf "delay:%s: bad jitter bound (expected 0..2^30)"
+                   value))
       | "equiv" -> (
           match int_of_string_opt value with
           | Some p when p >= 0 -> Ok (Equivocate { player = p })

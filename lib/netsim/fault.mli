@@ -11,7 +11,8 @@
       probability [prob] (seeded Bernoulli in {!Sim}).
     - [Delay]: delivery jitter — each message's delivery time is pushed
       back by a uniform draw in [0, max_jitter], widening the space of
-      adversarial-but-fair orderings.
+      adversarial-but-fair orderings. [max_jitter] is at most [2{^30}]
+      ({!Sim.max_jitter_bound}).
     - [Equivocate]: Byzantine broadcaster — when this player initiates a
       slot it SENDs the true payload to even-indexed peers and a
       corrupted payload (first bit flipped) to odd-indexed peers.
@@ -34,7 +35,7 @@ val none : plan
 val parse : string -> (plan, string) result
 (** Parse a comma-separated spec string: [crash:P] (dead from the
     start), [crash:P@S] (crash after [S] sends), [drop:F] with
-    [0 <= F <= 1], [delay:J], [equiv:P]. The empty string is the empty
+    [0 <= F <= 1], [delay:J] with [0 <= J <= 2{^30}], [equiv:P]. The empty string is the empty
     plan. Two [crash] specs (or two [equiv] specs) naming the same
     player are rejected as ambiguous — there is no single sensible
     merge — while repeated [drop]/[delay] specs stay legal (the last

@@ -75,6 +75,161 @@ let t_sim_causal_sends () =
              (env.Sim.payload + 1)));
   Alcotest.(check int) "ping-pong chain ran to quiescence" 5 !hops
 
+(* Differential oracle for the queue: a plain list of pending messages
+   that pops the least (time, seq), drawing [bernoulli] and then [int]
+   from the seed in [Sim.send]'s order. *)
+module Ref_sim = struct
+  type t = {
+    rng : Prob.Rng.t;
+    drop_prob : float;
+    max_jitter : int;
+    mutable pending : (int * int * Sim.envelope) list;
+    mutable next_seq : int;
+    mutable now : int;
+    mutable sent : int;
+    mutable dropped : int;
+    mutable delivered : int;
+    mutable bits_sent : int;
+  }
+
+  let create ?(drop_prob = 0.) ?(max_jitter = 0) ~seed () =
+    { rng = Prob.Rng.of_int_seed seed; drop_prob; max_jitter; pending = [];
+      next_seq = 0; now = 0; sent = 0; dropped = 0; delivered = 0;
+      bits_sent = 0 }
+
+  let send t ~src ~dst ~bits payload =
+    if t.drop_prob > 0. && Prob.Rng.bernoulli t.rng t.drop_prob then begin
+      t.dropped <- t.dropped + 1;
+      false
+    end
+    else begin
+      let jitter =
+        if t.max_jitter = 0 then 0 else Prob.Rng.int t.rng (t.max_jitter + 1)
+      in
+      t.pending <-
+        (t.now + 1 + jitter, t.next_seq, { Sim.src; dst; payload; bits })
+        :: t.pending;
+      t.next_seq <- t.next_seq + 1;
+      t.sent <- t.sent + 1;
+      t.bits_sent <- t.bits_sent + bits;
+      true
+    end
+
+  let rec run t ~deliver =
+    match t.pending with
+    | [] -> ()
+    | first :: _ ->
+        let time, seq, env =
+          List.fold_left
+            (fun ((ta, sa, _) as a) ((tb, sb, _) as b) ->
+              if tb < ta || (tb = ta && sb < sa) then b else a)
+            first t.pending
+        in
+        t.pending <- List.filter (fun (_, s, _) -> s <> seq) t.pending;
+        t.now <- time;
+        t.delivered <- t.delivered + 1;
+        deliver env;
+        run t ~deliver
+
+  let now t = t.now
+  let sent t = t.sent
+  let dropped t = t.dropped
+  let delivered t = t.delivered
+  let bits_sent t = t.bits_sent
+end
+
+module type NET = sig
+  type t
+
+  val create : ?drop_prob:float -> ?max_jitter:int -> seed:int -> unit -> t
+  val send : t -> src:int -> dst:int -> bits:int -> int -> bool
+  val run : t -> deliver:(Sim.envelope -> unit) -> unit
+  val now : t -> int
+  val sent : t -> int
+  val dropped : t -> int
+  val delivered : t -> int
+  val bits_sent : t -> int
+end
+
+type net_program = {
+  seed : int;
+  drop_prob : float;
+  max_jitter : int;
+  first : (int * int) list;  (* (src, dst) sends before any run *)
+  fanout : int array;  (* sends a delivery makes, by its handle *)
+  second : (int * int) list;  (* sends after both networks drained *)
+}
+
+let show_program p =
+  let pairs l =
+    String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "%d>%d" s d) l)
+  in
+  Printf.sprintf "seed=%d drop=%g jitter=%d first=[%s] fanout=[%s] second=[%s]"
+    p.seed p.drop_prob p.max_jitter (pairs p.first)
+    (String.concat ";" (Array.to_list (Array.map string_of_int p.fanout)))
+    (pairs p.second)
+
+let program_gen =
+  QCheck.Gen.(
+    let pair = pair (int_bound 6) (int_bound 6) in
+    let* seed = int_bound 100_000 in
+    let* drop_prob = oneofl [ 0.; 0.05; 0.5; 1. ] in
+    let* max_jitter =
+      frequency [ (6, int_range 0 64); (1, return Sim.max_jitter_bound) ]
+    in
+    let* first = list_size (int_range 0 40) pair in
+    let* fanout = array_size (int_range 1 8) (int_bound 3) in
+    let* second = list_size (int_range 0 20) pair in
+    return { seed; drop_prob; max_jitter; first; fanout; second })
+
+type net_event = Sent of char * int * bool | Got of char * Sim.envelope * int
+
+(* Two networks alive at once: the first batch alternates between them,
+   a delivery may send into its own network or (every third send) into
+   the other one, even after that one drained; both drain, take a
+   second batch and drain again. Returns every send outcome and every
+   delivery with its time, in order, and both networks' counters. *)
+let exec_program (module N : NET) p =
+  let make seed =
+    N.create ~drop_prob:p.drop_prob ~max_jitter:p.max_jitter ~seed ()
+  in
+  let a = make p.seed and b = make (p.seed + 1) in
+  let log = ref [] and next = ref 0 in
+  let send net tag (src, dst) =
+    let h = !next in
+    incr next;
+    log := Sent (tag, h, N.send net ~src ~dst ~bits:(h mod 13) h) :: !log
+  in
+  let deliver net tag other other_tag env =
+    log := Got (tag, env, N.now net) :: !log;
+    for j = 1 to p.fanout.(env.Sim.payload mod Array.length p.fanout) do
+      if !next < 400 then
+        if j = 3 then send other other_tag (env.Sim.dst, env.Sim.src)
+        else send net tag (env.Sim.dst, (env.Sim.src + j) mod 7)
+    done
+  in
+  let batch = List.iteri (fun i s -> if i mod 2 = 0 then send a 'a' s else send b 'b' s) in
+  let run_a () = N.run a ~deliver:(deliver a 'a' b 'b') in
+  let run_b () = N.run b ~deliver:(deliver b 'b' a 'a') in
+  batch p.first;
+  run_a ();
+  run_b ();
+  batch p.second;
+  run_a ();
+  run_b ();
+  run_a ();
+  let counters n = (N.sent n, N.dropped n, N.delivered n, N.bits_sent n, N.now n) in
+  (List.rev !log, counters a, counters b)
+
+let t_sim_matches_reference =
+  qtest ~count:150 "sim: radix heap = list reference, on one domain and two"
+    (QCheck.make ~print:show_program program_gen)
+    (fun p ->
+      let want = exec_program (module Ref_sim) p in
+      exec_program (module Sim) p = want
+      && List.for_all (( = ) want)
+           (Par.parallel_map ~domains:2 (exec_program (module Sim)) [ p; p ]))
+
 (* ------------------------------------------------------------------ *)
 (* Rbc                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -237,6 +392,20 @@ let t_fault_budgets () =
        ignore (Fault.crash_budget plan ~k:2);
        false
      with Invalid_argument _ -> true)
+
+let t_fault_jitter_bound () =
+  (match Fault.parse "delay:1073741824" with
+  | Ok p -> Alcotest.(check int) "delay:2^30 parses" (1 lsl 30) (Fault.max_jitter p)
+  | Error m -> Alcotest.failf "delay:2^30 must parse: %s" m);
+  List.iter
+    (fun s ->
+      match Fault.parse s with
+      | Ok _ -> Alcotest.failf "parse %S should fail" s
+      | Error _ -> ())
+    [ "delay:1073741825"; "delay:4611686018427387903" ];
+  Alcotest.check_raises "Sim.create refuses a jitter above 2^30"
+    (Invalid_argument "Sim.create: max_jitter above 2^30") (fun () ->
+      ignore (Sim.create ~max_jitter:(Sim.max_jitter_bound + 1) ~seed:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Board_emu: the totality contract                                    *)
@@ -638,6 +807,7 @@ let suite =
     quick "sim: fair — every message delivered" t_sim_delivers_everything;
     quick "sim: drop_prob 1 eats everything" t_sim_drop_everything;
     quick "sim: deliveries may send (causal chains)" t_sim_causal_sends;
+    t_sim_matches_reference;
     quick "rbc: thresholds" t_rbc_thresholds;
     quick "rbc: SEND -> ECHO -> READY -> deliver" t_rbc_happy_path;
     quick "rbc: dedup and split votes" t_rbc_dedup_and_equivocation;
@@ -647,6 +817,7 @@ let suite =
       t_fault_duplicates_rejected;
     t_fault_roundtrip_q;
     quick "fault: budgets and equivocators" t_fault_budgets;
+    quick "fault: delay is bounded at 2^30" t_fault_jitter_bound;
     t_faultfree_byte_identical;
     t_jitter_invariance;
     quick "crash of a silent player still delivers"
