@@ -356,6 +356,44 @@ let sim_alloc_regression () =
     "netsim queue, warm wave of %d messages: %.2f minor words per message"
     delivered words
 
+(* Allocation guard for the analyzers' law table: minor words per node
+   of one [Depgraph.analyze] of and/bcast at k = 10 (11,264 walk and
+   matched-descent steps). The run evaluates each (node, input) law
+   once and replays its split from the table; re-evaluating both laws
+   at every matched-descent step, with a fresh [prob_of] index on each,
+   read ~189. *)
+let depgraph_alloc_regression () =
+  let tree = Protocols.And_protocols.broadcast_all 10 in
+  let before = Gc.minor_words () in
+  let dg = Analysis.Depgraph.analyze ~domain:[| 0; 1 |] tree in
+  let nodes = dg.Analysis.Depgraph.nodes in
+  let words = (Gc.minor_words () -. before) /. float_of_int nodes in
+  assert (words < 95.0);
+  Exp_util.record_f "depgraph_words_per_node" words;
+  Exp_util.note
+    "depgraph, and/bcast k=10 (%d nodes): %.1f minor words per node" nodes
+    words
+
+(* Allocation guard for the discrepancy sweep: minor words per product
+   rectangle of one exact [Discrepancy.disc] on uniform AND_8 (3^8
+   rectangles). One subset-sum pass per axis costs about one rational
+   addition per rectangle; re-summing every rectangle's points read
+   ~262. *)
+let disc_alloc_regression () =
+  let k = 8 in
+  let f profile = Array.fold_left (fun a b -> a land b) 1 profile in
+  let mu = Analysis.Infoflow.uniform_mu 2 in
+  let rects = 3. ** float_of_int k in
+  let before = Gc.minor_words () in
+  let disc = Lowerbound.Discrepancy.disc ~players:k ~domain_size:2 ~mu ~f () in
+  let words = (Gc.minor_words () -. before) /. rects in
+  assert (disc <> None && words < 131.0);
+  Exp_util.record_f "disc_words_per_rect" words;
+  Exp_util.note
+    "discrepancy sweep, uniform AND_%d (%.0f rectangles): %.1f minor words \
+     per rectangle"
+    k rects words
+
 let run () =
   Exp_util.heading "MICRO" "bechamel micro-benchmarks (ns per run, OLS fit)";
   let cfg =
@@ -402,4 +440,6 @@ let run () =
   orbit_ic_regression ();
   exact_div_regression ();
   compile_scaling_regression ();
-  sim_alloc_regression ()
+  sim_alloc_regression ();
+  depgraph_alloc_regression ();
+  disc_alloc_regression ()

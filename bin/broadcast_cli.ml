@@ -69,13 +69,17 @@ let resolve_entries cmd names =
               exit 2)
         names
 
-(* The analyzers' node budget (analyze, verify): a non-positive one is
-   a usage error (exit 2), not an uncaught Invalid_argument. *)
+(* The analyzers' node budget (lint, analyze, verify): a non-positive
+   one is a usage error (exit 2), not an uncaught Invalid_argument or a
+   budget every entry is over. *)
 let check_budget cmd = function
   | Some b when b < 1 ->
       Printf.eprintf "%s: --budget must be positive, got %d\n" cmd b;
       exit 2
   | Some _ | None -> ()
+
+(* A command's last step: exit with its status unless that is 0. *)
+let finish code = if code <> 0 then exit code
 
 type instance_kind = Disjoint | Intersecting | Dense | Full | Empty
 
@@ -741,7 +745,7 @@ let run_protocol_cmd =
                     ~board_bits:(Blackboard.Board.total_bits board);
                   0))
     in
-    if code <> 0 then exit code
+    finish code
   in
   let proto_arg =
     Arg.(required & pos 0 (some string) None
@@ -876,6 +880,7 @@ let lint_cmd =
       ]
   in
   let run strict budget json only_rules ignore_rules jobs protocols =
+    check_budget "lint" budget;
     let entries = resolve_entries "lint" protocols in
     let results =
       Par.parallel_map ?domains:jobs
@@ -907,12 +912,10 @@ let lint_cmd =
             (Rep.sorted report))
         dirty
     end;
-    let code =
-      List.fold_left
-        (fun acc (_, (_, r)) -> max acc (Rep.exit_code ~strict r))
-        0 results
-    in
-    if code <> 0 then exit code
+    finish
+      (List.fold_left
+         (fun acc (_, (_, r)) -> max acc (Rep.exit_code ~strict r))
+         0 results)
   in
   let strict =
     Arg.(value & flag
@@ -1239,7 +1242,7 @@ let verify_cmd =
           end)
         results
     end;
-    if code <> 0 then exit code
+    finish code
   in
   let budget =
     Arg.(value & opt (some int) None

@@ -112,10 +112,12 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
             (fun acc (i, c) -> join acc (go (Path.child path i) rect c))
             None live
           |> Option.value ~default:{ lo = 0; hi = 0 }
-      | T.Speak { speaker; emit; children; _ } ->
+      | T.Speak { speaker; emit; children; id } ->
           let arity = Array.length children in
           let charge = T.bits_of_arity arity in
-          let live = Walk.refine walk ~count:true emit ~arity rect.(speaker) in
+          let live =
+            Walk.refine walk ~count:true ~id emit ~arity rect.(speaker)
+          in
           let acc = ref None in
           Array.iteri
             (fun m c ->

@@ -26,7 +26,11 @@
     occupy (and marks the branching slot output-relevant), which keeps
     the read-sets an over-approximation without inspecting the diverged
     suffixes further. Physically shared sibling subtrees short-circuit:
-    identical continuations cannot expose the branching symbol.
+    identical continuations cannot expose the branching symbol. The
+    descent reads every law from the run's {!Walk} law table: two laws
+    are compared by their interned keys, the per-symbol refinement
+    replays the table's split, and the shared rectangle is narrowed in
+    place for each child and restored after it.
 
     From the read-sets a greedy left-to-right partition into {e waves}
     is derived: a new wave starts at slot [t] exactly when [t] reads a
@@ -86,26 +90,18 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
   let speakers_at = Array.make n [] in
   let out_rel = Array.make n false in
   let max_slot_seen = ref 0 in
-  (* Extensional equality of two message/coin laws on the first [arity]
-     symbols, requiring all mass inside the arity. *)
-  let dists_equal da db arity =
-    let inside d =
-      List.for_all
-        (fun s -> (s >= 0 && s < arity) || R.is_zero (D.prob_of d s))
-        (D.support d)
-    in
-    let rec eq m =
-      m >= arity || (R.equal (D.prob_of da m) (D.prob_of db m) && eq (m + 1))
-    in
-    inside da && inside db && eq 0
-  in
-  let laws_equal emit_a emit_b arity ixs =
+  (* Two laws of one arity agree on [ixs] when their interned ids do:
+     equal functions on the arity, with no mass outside it. *)
+  let laws_equal ~ida ea ~idb eb ~arity ixs =
     List.for_all
       (fun ix ->
-        match (emit_a domain.(ix), emit_b domain.(ix)) with
-        | da, db -> dists_equal da db arity
-        | exception _ -> false)
+        let k = Walk.law_key walk ~id:ida ea ~arity ix in
+        k >= 0 && k = Walk.law_key walk ~id:idb eb ~arity ix)
       ixs
+  in
+  let coins_equal ~ida ca ~idb cb ~arity =
+    let k = Walk.coin_key walk ~id:ida ca ~arity in
+    k >= 0 && k = Walk.coin_key walk ~id:idb cb ~arity
   in
   (* Divergence at slot position [slot] between sibling suffixes [a] and
      [b]: every slot either suffix can still occupy may read [src], and
@@ -121,8 +117,9 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
      [src] (branching speaker [v], whose live inputs are [la] in [a] and
      [lb] in [b]; every other player's axis is in [shared], where
      [shared.(v)] is stale and never read). It spends the main walk's
-     node budget, and re-splits laws with [~count:false] so that it does
-     not double-count failures the main walk already reported. *)
+     node budget, and replays laws with [~count:false] so that it does
+     not double-count failures the main walk already reported. [shared]
+     is narrowed in place for each child and restored after it. *)
   let rec cmp ~src ~v ~la ~lb ~shared ~slot a b =
     if a == b then ()
     else if not (Walk.tick walk) then close_off ~src ~slot a b
@@ -130,33 +127,34 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
       match (a, b) with
       | T.Output { value = va; _ }, T.Output { value = vb; _ } ->
           if va <> vb then out_rel.(src) <- true
-      | ( T.Chance { coin = ca; children = xa; _ },
-          T.Chance { coin = cb; children = xb; _ } )
+      | ( T.Chance { coin = ca; children = xa; id = ida },
+          T.Chance { coin = cb; children = xb; id = idb } )
         when Array.length xa = Array.length xb
-             && dists_equal ca cb (Array.length xa) ->
+             && coins_equal ~ida ca ~idb cb ~arity:(Array.length xa) ->
           Array.iteri
             (fun i ai ->
               if R.sign (D.prob_of ca i) > 0 then
                 cmp ~src ~v ~la ~lb ~shared ~slot ai xb.(i))
             xa
-      | ( T.Speak { speaker = ua; emit = ea; children = xa; _ },
-          T.Speak { speaker = ub; emit = eb; children = xb; _ } )
+      | ( T.Speak { speaker = ua; emit = ea; children = xa; id = ida },
+          T.Speak { speaker = ub; emit = eb; children = xb; id = idb } )
         when ua = ub && Array.length xa = Array.length xb ->
           let u = ua and arity = Array.length xa in
           if u <> v then begin
             (* Same inputs on both sides: the laws must agree on them,
                else the posted symbol distribution betrays the branch. *)
             let ixs = shared.(u) in
-            if not (laws_equal ea eb arity ixs) then close_off ~src ~slot a b
+            if not (laws_equal ~ida ea ~idb eb ~arity ixs) then
+              close_off ~src ~slot a b
             else
-              let by = Walk.refine walk ~count:false ea ~arity ixs in
+              let by = Walk.refine walk ~count:false ~id:ida ea ~arity ixs in
               Array.iteri
                 (fun m live_m ->
                   if live_m <> [] then begin
-                    let shared' = Array.copy shared in
-                    shared'.(u) <- live_m;
-                    cmp ~src ~v ~la ~lb ~shared:shared' ~slot:(slot + 1)
-                      xa.(m) xb.(m)
+                    shared.(u) <- live_m;
+                    cmp ~src ~v ~la ~lb ~shared ~slot:(slot + 1) xa.(m)
+                      xb.(m);
+                    shared.(u) <- ixs
                   end)
                 by
           end
@@ -166,8 +164,8 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
                the same in both branches; recurse per symbol live in
                both (a symbol live in only one branch has no sibling
                pair to distinguish). *)
-            let by_a = Walk.refine walk ~count:false ea ~arity la in
-            let by_b = Walk.refine walk ~count:false eb ~arity lb in
+            let by_a = Walk.refine walk ~count:false ~id:ida ea ~arity la in
+            let by_b = Walk.refine walk ~count:false ~id:idb eb ~arity lb in
             for m = 0 to arity - 1 do
               match (by_a.(m), by_b.(m)) with
               | [], _ | _, [] -> ()
@@ -178,6 +176,7 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
           end
       | _ -> close_off ~src ~slot a b
   in
+  (* The main walk narrows [rect] in place too: nothing keeps it. *)
   let rec go ~slot rect t =
     if Walk.tick walk then
       match t with
@@ -187,11 +186,12 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
             (fun i c ->
               if R.sign (D.prob_of coin i) > 0 then go ~slot rect c)
             children
-      | T.Speak { speaker; emit; children; _ } ->
+      | T.Speak { speaker; emit; children; id } ->
           if slot < n && not (List.mem speaker speakers_at.(slot)) then
             speakers_at.(slot) <- speaker :: speakers_at.(slot);
           let arity = Array.length children in
-          let by = Walk.refine walk ~count:true emit ~arity rect.(speaker) in
+          let ixs = rect.(speaker) in
+          let by = Walk.refine walk ~count:true ~id emit ~arity ixs in
           let live = ref [] in
           Array.iteri
             (fun m l -> if l <> [] then live := (m, l) :: !live)
@@ -213,10 +213,10 @@ let analyze ?(budget = default_budget) ?players ~domain tree =
           pairs live;
           List.iter
             (fun (m, l) ->
-              let rect' = Array.copy rect in
-              rect'.(speaker) <- l;
-              go ~slot:(slot + 1) rect' children.(m))
-            live
+              rect.(speaker) <- l;
+              go ~slot:(slot + 1) rect children.(m))
+            live;
+          rect.(speaker) <- ixs
   in
   Walk.run walk (fun () -> go ~slot:0 (Walk.full_rect walk) tree);
   let slots = if walk.widened then max_slots else !max_slot_seen in

@@ -204,7 +204,7 @@ let analyze ?(budget = Absint.default_budget) ?players
                   go (Path.child path i) w (R.mul cm p) bits c)
               children
           end
-      | T.Speak { speaker; emit; children; _ } ->
+      | T.Speak { speaker; emit; children; id } ->
           let arity = Array.length children in
           let charge = T.bits_of_arity arity in
           (* Per-symbol weight row for the speaker; other players' rows
@@ -214,7 +214,7 @@ let analyze ?(budget = Absint.default_budget) ?players
           let rows = Array.init arity (fun _ -> Array.make d R.zero) in
           let any = Array.make arity false in
           ignore
-            (Walk.split walk ~count:true ~normalized:true emit ~arity
+            (Walk.split walk ~count:true ~normalized:true ~id emit ~arity
                (List.filter (fun v -> R.sign row.(v) > 0) walk.inputs)
                (fun v s p ->
                  rows.(s).(v) <- R.mul row.(v) p;

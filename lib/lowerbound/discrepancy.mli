@@ -10,10 +10,12 @@
 module R := Exact.Rational
 
 val default_work_cap : int
-(** Cap on (rectangles x points) for the exact sweeps (1.6 x 10^8; the
-    per-rectangle inner loops run off precomputed per-point color and
-    signed-mass tables, so a work unit is an int compare or a rational
-    addition, not an [f] call). *)
+(** Cap on [(2^d - 1)^k * d^k] — product rectangles times the points
+    of the largest — for the exact sweep over [k] players and [d]
+    domain points (1.6 x 10^8). The product bounds what a point-by-point
+    re-sum of every rectangle would cost; the sweep itself costs about
+    one rational addition per rectangle (one subset-sum pass per axis),
+    far below it. The formula only decides which inputs are swept. *)
 
 val partition_bound : ?prec:int -> Analysis.Infoflow.t -> R.t option
 (** [log2 (1 / max leaf mass)]: sound for sound {e deterministic}
@@ -30,8 +32,9 @@ val mono_mass :
   unit ->
   R.t option
 (** Exact largest [mu]-mass of an [f]-monochromatic product rectangle
-    ([f] over domain {e indices}). [None] when the exhaustive sweep
-    would exceed [work_cap]. *)
+    ([f] over domain {e indices}), over the rectangles of positive
+    mass; zero when there is none. [None] when the cap formula
+    exceeds [work_cap]. *)
 
 val disc :
   ?work_cap:int ->

@@ -7,6 +7,7 @@ module Dg = Analysis.Depgraph
 module Hb = Netsim.Hbcheck
 module T = Proto.Tree
 module D = Prob.Dist_exact
+module R = Exact.Rational
 module Reg = Protocols.Registry
 open Test_util
 
@@ -115,6 +116,73 @@ let t_physically_shared_children () =
   Alcotest.(check (array int)) "one wave" [| 0 |] dg.Dg.waves;
   Alcotest.(check bool)
     "slot 0 is provably redundant" false dg.Dg.output_relevant.(0)
+
+(* ---- one law table per run: each (node, input) law evaluated once ---- *)
+
+(* and/bcast at k = 8, rebuilt with an [f] per node that counts its
+   calls per input. The matched descent walks every pair of live
+   sibling subtrees in lockstep, so re-evaluating laws on each visit
+   would call each [f] about k times per input; the run's law table
+   calls it at most once. The table dies with its run: a second
+   analysis evaluates afresh. *)
+let t_law_table_evaluates_once () =
+  let k = 8 in
+  let counters = ref [] in
+  let rec build i acc =
+    if i = k then T.output acc
+    else begin
+      let calls = Array.make 2 0 in
+      counters := calls :: !counters;
+      T.speak_det ~speaker:i
+        ~f:(fun b ->
+          calls.(b) <- calls.(b) + 1;
+          b)
+        [| build (i + 1) 0; build (i + 1) acc |]
+    end
+  in
+  let tree = build 0 1 in
+  let max_calls () =
+    List.fold_left (fun m c -> Array.fold_left max m c) 0 !counters
+  in
+  let dg = Dg.analyze ~domain:bit_domain tree in
+  Alcotest.(check int) "each (node, input) law evaluated once" 1 (max_calls ());
+  ignore (Dg.analyze ~domain:bit_domain tree);
+  Alcotest.(check int) "a second run evaluates afresh" 2 (max_calls ());
+  let json dg = Obs.Jsonw.to_string (Dg.to_json dg) in
+  Alcotest.(check string) "same analysis as the library's and/bcast"
+    (json
+       (Dg.analyze ~domain:bit_domain (Protocols.And_protocols.broadcast_all k)))
+    (json dg)
+
+(* Law equality in the matched descent is extensional: one law built
+   in two support orders is equal to itself, so sibling suffixes that
+   differ only in that order do not betray slot 0. A law with mass
+   outside its arity equals no law, itself included, so identical
+   such siblings still close off. *)
+let t_law_equality () =
+  let third = R.of_ints 1 3 and two_thirds = R.of_ints 2 3 in
+  let suffix law =
+    T.speak ~speaker:1 ~emit:(fun _ -> law) [| T.output 0; T.output 1 |]
+  in
+  let reordered =
+    T.speak_det ~speaker:0 ~f:(fun b -> b)
+      [| suffix (D.of_weighted [ (0, third); (1, two_thirds) ]);
+         suffix (D.of_weighted [ (1, two_thirds); (0, third) ]) |]
+  in
+  let dg = Dg.analyze ~domain:bit_domain reordered in
+  check_reads ~msg:"support order is not a difference" dg [| []; [] |];
+  Alcotest.(check bool) "slot 0 redundant" false dg.Dg.output_relevant.(0);
+  let stray () =
+    T.speak_unguarded ~speaker:1
+      ~emit:(fun _ -> D.of_weighted [ (0, third); (5, two_thirds) ])
+      [| T.output 0; T.output 1 |]
+  in
+  let dg =
+    Dg.analyze ~domain:bit_domain
+      (T.speak_det ~speaker:0 ~f:(fun b -> b) [| stray (); stray () |])
+  in
+  check_reads ~msg:"stray mass closes off" dg [| []; [ 0 ] |];
+  Alcotest.(check bool) "no certificate" true (Dg.certificate dg = None)
 
 (* ---- every registry certificate passes the netsim validator ---- *)
 
@@ -267,6 +335,8 @@ let suite =
     quick "law-failure-no-certificate" t_law_failure_no_certificate;
     quick "widened-no-certificate" t_widened_no_certificate;
     quick "physically-shared-children" t_physically_shared_children;
+    quick "law-table-evaluates-once" t_law_table_evaluates_once;
+    quick "law-equality" t_law_equality;
     quick "registry-certificates" t_registry_certificates;
     quick "registry-wave-shapes" t_registry_wave_shapes;
     quick "hbcheck-validate" t_hbcheck_validate_rejects;

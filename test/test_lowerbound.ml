@@ -1,11 +1,12 @@
 (** Tests for the lower-bound machinery: transcript classification
-    (Section 4.1), Lemma 2, Lemma 6, and the Lemma-1 direct-sum
-    embedding. *)
+    (Section 4.1), Lemma 2, Lemma 6, the Lemma-1 direct-sum embedding,
+    and the discrepancy rectangle sweep. *)
 
 module Tr = Lowerbound.Transcripts
 module Bd = Lowerbound.Bounds
 module Fl = Lowerbound.Fooling
 module Ds = Lowerbound.Direct_sum
+module Disc = Lowerbound.Discrepancy
 module D = Prob.Dist_exact
 module R = Exact.Rational
 open Test_util
@@ -219,6 +220,91 @@ let t_broadcast_disj_tree_correct () =
       | _ -> Alcotest.fail "deterministic")
     (Protocols.Disj_common.enumerate ~n ~k)
 
+(* --- discrepancy: the subset-sum sweep against brute force --- *)
+
+let rec pow b e = if e = 0 then 1 else b * pow b (e - 1)
+
+(* Every product of nonempty per-player subsets, each re-summed point
+   by point: the largest mu-mass of a one-colour rectangle and the
+   largest |mu(R inter f^-1(1)) - mu(R minus f^-1(1))|, both from 0. *)
+let brute_rectangles ~players:k ~domain_size:d ~mu ~f =
+  let mono = ref R.zero and disc = ref R.zero in
+  let rect = Array.make k 0 and x = Array.make k 0 in
+  let rec points q w (mass, signed, colours) =
+    if q = k then begin
+      let c = f (Array.copy x) in
+      ( R.add mass w,
+        (if c = 1 then R.add signed w else R.sub signed w),
+        if List.mem c colours then colours else c :: colours )
+    end
+    else begin
+      let acc = ref (mass, signed, colours) in
+      for v = 0 to d - 1 do
+        if rect.(q) land (1 lsl v) <> 0 then begin
+          x.(q) <- v;
+          acc := points (q + 1) (R.mul w mu.(v)) !acc
+        end
+      done;
+      !acc
+    end
+  in
+  let rec choose p =
+    if p = k then begin
+      let mass, signed, colours = points 0 R.one (R.zero, R.zero, []) in
+      if List.length colours = 1 then mono := R.max !mono mass;
+      disc := R.max !disc (R.abs signed)
+    end
+    else
+      for m = 1 to (1 lsl d) - 1 do
+        rect.(p) <- m;
+        choose (p + 1)
+      done
+  in
+  choose 0;
+  (!mono, !disc)
+
+(* Up to 5 players over domains of 1-3 points, or 3 over 4 points; mu
+   weights with zeros; colours beyond 0/1; no cap or a small one. *)
+let disc_case_gen =
+  let open QCheck.Gen in
+  let* d = int_range 1 4 in
+  let* k = if d = 4 then int_range 1 3 else int_range 1 5 in
+  let* mu = array_size (return d) (pair (int_range 0 3) (int_range 1 4)) in
+  let* colours = array_size (return (pow d k)) (oneofl [ 0; 1; 1; 2; -3 ]) in
+  let* cap = opt (int_range 0 20_000) in
+  return (k, d, mu, colours, cap)
+
+let disc_case_print (k, d, mu, colours, cap) =
+  Printf.sprintf "k=%d d=%d mu=[%s] colours=[%s] cap=%s" k d
+    (String.concat "; "
+       (Array.to_list (Array.map (fun (n, q) -> Printf.sprintf "%d/%d" n q) mu)))
+    (String.concat "; " (Array.to_list (Array.map string_of_int colours)))
+    (match cap with None -> "default" | Some c -> string_of_int c)
+
+let prop_disc_sweep_matches_brute =
+  qtest ~count:300 "discrepancy: sweep = brute-force rectangle enumeration"
+    (QCheck.make ~print:disc_case_print disc_case_gen)
+    (fun (k, d, mu, colours, cap) ->
+      let mu = Array.map (fun (n, q) -> R.of_ints n q) mu in
+      let f profile =
+        colours.(Array.fold_right (fun v code -> (code * d) + v) profile 0)
+      in
+      let mono = Disc.mono_mass ?work_cap:cap ~players:k ~domain_size:d ~mu ~f ()
+      and disc = Disc.disc ?work_cap:cap ~players:k ~domain_size:d ~mu ~f () in
+      let over =
+        match cap with
+        | None -> false
+        | Some c -> pow ((1 lsl d) - 1) k * pow d k > c
+      in
+      if over then mono = None && disc = None
+      else
+        let want_mono, want_disc =
+          brute_rectangles ~players:k ~domain_size:d ~mu ~f
+        in
+        match (mono, disc) with
+        | Some m, Some x -> R.equal m want_mono && R.equal x want_disc
+        | _ -> false)
+
 let suite =
   [
     quick "pi_2 masses partition" t_masses_partition;
@@ -240,4 +326,5 @@ let suite =
     quick "embedding CIC positive" t_embedding_cic_positive;
     slow "DISJ tree correct (exhaustive)" t_disj_tree_correct;
     quick "broadcast DISJ tree correct" t_broadcast_disj_tree_correct;
+    prop_disc_sweep_matches_brute;
   ]
