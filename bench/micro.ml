@@ -356,6 +356,60 @@ let sim_alloc_regression () =
     "netsim queue, warm wave of %d messages: %.2f minor words per message"
     delivered words
 
+(* Allocation guard for the async board: minor words per network
+   message of one warm [Board_emu.run] of and/bcast at k = 12, f = 1, no
+   fault (12 slots, 3,300 messages), with the hosted value built before
+   the count. A message that crosses no RBC threshold allocates only its
+   [Sim] envelope; the rest is each fan-out's encode and decode, spread
+   over its k - 1 messages. String-keyed votes and a closure per
+   delivery read 33.1. *)
+let emu_alloc_regression () =
+  let module Reg = Protocols.Registry in
+  let module Emu = Netsim.Board_emu in
+  let entry =
+    Reg.entry ~name:"micro/and-bcast-k12" ~players:12 ~domain:[| 0; 1 |]
+      (lazy (Protocols.And_protocols.broadcast_all 12))
+  in
+  let run seed =
+    let h = Reg.hosted entry ~seed in
+    let before = Gc.minor_words () in
+    let out =
+      Emu.run ~k:h.Reg.k ~schedule:h.Reg.schedule ~players:h.Reg.players
+        ~config:{ Emu.f = 1; seed; faults = Netsim.Fault.none }
+        ()
+    in
+    let words = Gc.minor_words () -. before in
+    match out with
+    | Ok (Emu.Delivered { stats; _ }) ->
+        (words /. float_of_int stats.Emu.net_messages, stats.Emu.net_messages)
+    | _ -> failwith "emu_alloc_regression: the fault-free run must deliver"
+  in
+  ignore (run 1);
+  let words, messages = run 2 in
+  assert (words < 20.0);
+  Exp_util.record_f "emu_words_per_msg" words;
+  Exp_util.note
+    "async board, and/bcast k=12 f=1, warm run of %d messages: %.2f minor \
+     words per message"
+    messages words
+
+(* Allocation guard for [Prob.Rng]: minor words per [Rng.int] draw over
+   100,000 draws. The state is one [Bytes] and the rejection loop a
+   top-level function, so a draw allocates nothing; four boxed [int64]
+   fields read 27. *)
+let rng_alloc_regression () =
+  let rng = Prob.Rng.of_int_seed 1 in
+  let draws = 100_000 and sink = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    sink := !sink + Prob.Rng.int rng 1_000
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int draws in
+  assert (words < 1.0);
+  Exp_util.record_f "rng_words_per_draw" words;
+  Exp_util.note "Rng.int, %d draws: %.3f minor words per draw" draws words;
+  ignore !sink
+
 (* Allocation guard for the analyzers' law table: minor words per node
    of one [Depgraph.analyze] of and/bcast at k = 10 (11,264 walk and
    matched-descent steps). The run evaluates each (node, input) law
@@ -441,5 +495,7 @@ let run () =
   exact_div_regression ();
   compile_scaling_regression ();
   sim_alloc_regression ();
+  emu_alloc_regression ();
+  rng_alloc_regression ();
   depgraph_alloc_regression ();
   disc_alloc_regression ()

@@ -563,6 +563,11 @@ let run_protocol_cmd =
           Printf.eprintf "run: %s\n" e;
           exit 2
     in
+    (match Netsim.Fault.check faults ~k:(Reg.players entry) with
+    | Ok () -> ()
+    | Error e ->
+        Printf.eprintf "run: --faults %s for %s\n" e name;
+        exit 2);
     if check && faults <> Netsim.Fault.none then begin
       Printf.eprintf
         "run: --check compares the fault-free emulation; drop --faults\n";

@@ -142,19 +142,19 @@ let soundness_reason a =
 
 (* Rlog calls dominate the post-walk arithmetic and the same ratios
    recur across leaves (deterministic subtrees yield few distinct
-   ratios), so memoize per analysis. Keys go through [R.to_string]: the
-   canonical decimal form is representation-independent, unlike the
-   structural equality Hashtbl would apply to the dual small/big
-   representation. *)
+   ratios), so memoize per analysis. The rational itself is the key:
+   [Rational] keeps one representation per value (small when it fits,
+   big otherwise), so structural hashing and equality agree with
+   numeric equality, as in [Prob.Dist_core]. A value that did break
+   that invariant would only miss and recompute the same bounds. *)
 let memoized_log2_bounds ~prec =
   let memo = Hashtbl.create 64 in
   fun x ->
-    let key = R.to_string x in
-    match Hashtbl.find_opt memo key with
+    match Hashtbl.find_opt memo x with
     | Some b -> b
     | None ->
         let b = L.log2_bounds ~prec x in
-        Hashtbl.add memo key b;
+        Hashtbl.add memo x b;
         b
 
 let analyze ?(budget = Absint.default_budget) ?players

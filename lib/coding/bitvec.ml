@@ -159,15 +159,14 @@ let extract t ~pos ~len =
     { data; len }
   end
 
-let equal a b =
-  a.len = b.len
-  &&
-  let nbytes = bytes_needed a.len in
-  let rec go i =
-    i >= nbytes
-    || (Bytes.unsafe_get a.data i = Bytes.unsafe_get b.data i && go (i + 1))
-  in
-  go 0
+(* A top-level loop: a local one capturing the buffers would allocate
+   a closure on every comparison. *)
+let rec equal_bytes a b i nbytes =
+  i >= nbytes
+  || (Bytes.unsafe_get a i = Bytes.unsafe_get b i
+     && equal_bytes a b (i + 1) nbytes)
+
+let equal a b = a.len = b.len && equal_bytes a.data b.data 0 (bytes_needed a.len)
 
 let of_string s =
   let len = String.length s in

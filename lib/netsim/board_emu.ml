@@ -221,17 +221,20 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
         h
       in
       let traced = Obs.Trace.enabled () in
-      let rec do_actions ~slot p actions =
-        List.iter
-          (function
-            | Rbc.Deliver v ->
-                Hbcheck.note_deliver hb ~slot ~player:p;
-                if traced then
-                  Obs.Trace.emit
-                    (Obs.Event.Rbc_deliver
-                       { slot; player = p; bits = Coding.Bitvec.length v })
-            | Rbc.Broadcast (phase, v) -> broadcast_from ~slot p phase v)
-          actions
+      (* Direct recursion: [List.iter] would take a closure over [slot]
+         and [p], allocated on every delivery. *)
+      let rec do_actions ~slot p = function
+        | [] -> ()
+        | Rbc.Deliver v :: rest ->
+            Hbcheck.note_deliver hb ~slot ~player:p;
+            if traced then
+              Obs.Trace.emit
+                (Obs.Event.Rbc_deliver
+                   { slot; player = p; bits = Coding.Bitvec.length v });
+            do_actions ~slot p rest
+        | Rbc.Broadcast (phase, v) :: rest ->
+            broadcast_from ~slot p phase v;
+            do_actions ~slot p rest
       and broadcast_from ~slot p phase v =
         if not crashed.(p) then begin
           (* A player processes its own message locally, free of charge

@@ -103,19 +103,24 @@ let max_jitter plan =
     (fun acc -> function Delay { max_jitter } -> max_jitter | _ -> acc)
     0 plan
 
-let check_player ~k p =
-  if p < 0 || p >= k then
-    invalid_arg (Printf.sprintf "Fault: player %d out of range [0, %d)" p k)
-
 (* Any player named anywhere in the plan must exist: both accessors
-   validate the whole plan, so a bad index surfaces no matter which one
+   check the whole plan, so a bad index surfaces no matter which one
    the runtime consults first. *)
+let check plan ~k =
+  let out_of_range = function
+    | (Crash { player; _ } | Equivocate { player }) as spec
+      when player < 0 || player >= k ->
+        Some
+          (Printf.sprintf "%s: player %d out of range [0, %d)"
+             (spec_to_string spec) player k)
+    | _ -> None
+  in
+  match List.find_map out_of_range plan with None -> Ok () | Some e -> Error e
+
 let validate plan ~k =
-  List.iter
-    (function
-      | Crash { player; _ } | Equivocate { player } -> check_player ~k player
-      | Drop _ | Delay _ -> ())
-    plan
+  match check plan ~k with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Fault: " ^ e)
 
 let crash_budget plan ~k =
   validate plan ~k;

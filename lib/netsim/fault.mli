@@ -52,11 +52,18 @@ val drop_prob : plan -> float
 val max_jitter : plan -> int
 (** Delivery jitter bound (0 when no [Delay] spec). *)
 
+val check : plan -> k:int -> (unit, string) result
+(** [Ok ()] when every player the plan names lies in [\[0, k)];
+    otherwise [Error] names the first spec (in plan order) that does
+    not, e.g. ["crash:9: player 9 out of range \[0, 4)"]. {!parse}
+    cannot know [k], so a runtime checks the plan against its player
+    count with this before it starts. *)
+
 val crash_budget : plan -> k:int -> int array
 (** Per-player send budget: [max_int] for healthy players, the
     [after_sends] of their [Crash] spec otherwise.
-    @raise Invalid_argument if a spec names a player outside [0, k). *)
+    @raise Invalid_argument if {!check} refuses the plan. *)
 
 val equivocators : plan -> k:int -> bool array
 (** Per-player Byzantine-equivocation flags.
-    @raise Invalid_argument if a spec names a player outside [0, k). *)
+    @raise Invalid_argument if {!check} refuses the plan. *)

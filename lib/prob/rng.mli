@@ -7,7 +7,14 @@
     per-player private streams split off deterministically.
 
     The core generator is SplitMix64 (Steele, Lea & Flood 2014) used both
-    directly and to seed Xoshiro256** (Blackman & Vigna 2018). *)
+    directly and to seed Xoshiro256** (Blackman & Vigna 2018).
+
+    A generator is its four Xoshiro words, held unboxed in one 32-byte
+    buffer, so {!bits62}, {!int}, {!bool} and {!bernoulli} allocate
+    nothing per draw; {!next_int64} and {!float} allocate only the
+    boxed value they return. The stream is the one the earlier layout
+    (four boxed [int64] fields) produced: same SplitMix64 seeding, same
+    Xoshiro256** step, same rejection rule in {!int}. *)
 
 type t
 

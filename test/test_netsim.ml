@@ -301,6 +301,167 @@ let t_rbc_ready_amplification () =
   | [ Rbc.Broadcast (Rbc.Ready, _) ] -> ()
   | _ -> Alcotest.fail "f+1 READYs must amplify"
 
+(* Reference machine for the differential property below: votes keyed
+   by the value's '0'/'1' rendering in a string-hashed table, one
+   record per distinct value, one bool per sender and phase. *)
+module Ref_rbc = struct
+  type votes = {
+    value : Coding.Bitvec.t;
+    mutable echoes : int;
+    mutable readies : int;
+  }
+
+  type t = {
+    n : int;
+    f : int;
+    votes : (string, votes) Hashtbl.t;
+    echoed_from : bool array;
+    readied_from : bool array;
+    mutable sent_echo : bool;
+    mutable sent_ready : bool;
+    mutable delivered : Coding.Bitvec.t option;
+  }
+
+  let create ~n ~f =
+    { n; f; votes = Hashtbl.create 4; echoed_from = Array.make n false;
+      readied_from = Array.make n false; sent_echo = false;
+      sent_ready = false; delivered = None }
+
+  let votes_for t value =
+    let key = Coding.Bitvec.to_string value in
+    match Hashtbl.find_opt t.votes key with
+    | Some v -> v
+    | None ->
+        let v = { value; echoes = 0; readies = 0 } in
+        Hashtbl.add t.votes key v;
+        v
+
+  let react t v =
+    let acts = ref [] in
+    if
+      (not t.sent_ready)
+      && (v.echoes >= Rbc.echo_threshold ~n:t.n ~f:t.f
+         || v.readies >= Rbc.ready_amplify ~f:t.f)
+    then begin
+      t.sent_ready <- true;
+      acts := Rbc.Broadcast (Rbc.Ready, v.value) :: !acts
+    end;
+    if t.delivered = None && v.readies >= Rbc.deliver_threshold ~f:t.f then begin
+      t.delivered <- Some v.value;
+      acts := Rbc.Deliver v.value :: !acts
+    end;
+    List.rev !acts
+
+  let handle t ~from phase value =
+    match phase with
+    | Rbc.Send ->
+        if t.sent_echo then []
+        else begin
+          t.sent_echo <- true;
+          [ Rbc.Broadcast (Rbc.Echo, value) ]
+        end
+    | Rbc.Echo ->
+        if t.echoed_from.(from) then []
+        else begin
+          t.echoed_from.(from) <- true;
+          let v = votes_for t value in
+          v.echoes <- v.echoes + 1;
+          react t v
+        end
+    | Rbc.Ready ->
+        if t.readied_from.(from) then []
+        else begin
+          t.readied_from.(from) <- true;
+          let v = votes_for t value in
+          v.readies <- v.readies + 1;
+          react t v
+        end
+end
+
+type rbc_case = {
+  n : int;
+  f : int;
+  values : string array;  (* 1-3 values as '0'/'1' strings *)
+  msgs : (int * Rbc.phase * int) list;  (* sender, phase, value index *)
+}
+
+let show_rbc_case c =
+  Printf.sprintf "n=%d f=%d values=[%s] msgs=[%s]" c.n c.f
+    (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%S") c.values)))
+    (String.concat ";"
+       (List.map
+          (fun (s, ph, v) -> Printf.sprintf "%d:%s:%d" s (Rbc.phase_to_string ph) v)
+          c.msgs))
+
+(* Values draw their lengths from a few sizes (0 bits included), so
+   equal lengths with different bits, and equal values, are common; an
+   equivocator's second value is often the first with one bit flipped,
+   anywhere in it. Value 0 is the most frequent, so thresholds get
+   crossed, and values 1-2 play the second value. *)
+let rbc_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 4 10 in
+    let* f = int_range 0 ((n - 1) / 3) in
+    let* nvals = int_range 1 3 in
+    let random =
+      let* len = oneofl [ 0; 1; 3; 8; 9; 17 ] in
+      string_size ~gen:(oneofl [ '0'; '1' ]) (return len)
+    in
+    let flip s =
+      if s = "" then return s
+      else
+        let+ i = int_bound (String.length s - 1) in
+        String.mapi (fun j c -> if j <> i then c else if c = '0' then '1' else '0') s
+    in
+    let* first = random in
+    let* rest =
+      list_repeat (nvals - 1) (frequency [ (1, random); (1, flip first) ])
+    in
+    let values = Array.of_list (first :: rest) in
+    let msg =
+      triple (int_bound (n - 1))
+        (frequency
+           [ (1, return Rbc.Send); (3, return Rbc.Echo); (3, return Rbc.Ready) ])
+        (map (fun i -> i mod nvals)
+           (frequency [ (6, return 0); (2, return 1); (1, return 2) ]))
+    in
+    let* msgs = list_size (int_range 0 (6 * n)) msg in
+    return { n; f; values; msgs })
+
+(* Each message carries a fresh vector, so no lookup can lean on
+   physical equality; every other one comes from a frozen writer, whose
+   buffer is longer than the bits it holds. *)
+let fresh_value s i =
+  if i mod 2 = 0 then vec_of_string s
+  else begin
+    let w = Coding.Bitbuf.Writer.create () in
+    String.iter (fun c -> Coding.Bitbuf.Writer.add_bit w (c = '1')) s;
+    Coding.Bitbuf.Writer.freeze w
+  end
+
+let render_actions acts =
+  List.map
+    (function
+      | Rbc.Broadcast (ph, v) ->
+          Rbc.phase_to_string ph ^ ":" ^ Coding.Bitvec.to_string v
+      | Rbc.Deliver v -> "deliver:" ^ Coding.Bitvec.to_string v)
+    acts
+
+let t_rbc_matches_reference =
+  qtest ~count:500 "rbc: vote cells = string-keyed reference"
+    (QCheck.make ~print:show_rbc_case rbc_case_gen)
+    (fun c ->
+      let m = Rbc.create ~n:c.n ~f:c.f () and r = Ref_rbc.create ~n:c.n ~f:c.f in
+      List.for_all
+        (fun (i, (from, phase, v)) ->
+          let s = c.values.(v) in
+          let got = Rbc.handle m ~from phase (fresh_value s i) in
+          let want = Ref_rbc.handle r ~from phase (fresh_value s (i + 1)) in
+          render_actions got = render_actions want
+          && Option.map Coding.Bitvec.to_string (Rbc.delivered m)
+             = Option.map Coding.Bitvec.to_string r.Ref_rbc.delivered)
+        (List.mapi (fun i msg -> (i, msg)) c.msgs))
+
 (* ------------------------------------------------------------------ *)
 (* Fault plans                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +553,22 @@ let t_fault_budgets () =
        ignore (Fault.crash_budget plan ~k:2);
        false
      with Invalid_argument _ -> true)
+
+let t_fault_check () =
+  let plan s =
+    match Fault.parse s with Ok p -> p | Error e -> failwith e
+  in
+  Alcotest.(check (result unit string)) "in range" (Ok ())
+    (Fault.check (plan "crash:3@2,drop:0.1,equiv:0") ~k:4);
+  Alcotest.(check (result unit string)) "the first bad spec is named"
+    (Error "equiv:7: player 7 out of range [0, 4)")
+    (Fault.check (plan "drop:0.5,equiv:7,crash:9") ~k:4);
+  Alcotest.(check (result unit string)) "k itself is out of range"
+    (Error "crash:4: player 4 out of range [0, 4)")
+    (Fault.check (plan "crash:4") ~k:4);
+  Alcotest.check_raises "crash_budget raises check's message"
+    (Invalid_argument "Fault: crash:9: player 9 out of range [0, 4)")
+    (fun () -> ignore (Fault.crash_budget (plan "crash:9") ~k:4))
 
 let t_fault_jitter_bound () =
   (match Fault.parse "delay:1073741824" with
@@ -812,11 +989,13 @@ let suite =
     quick "rbc: SEND -> ECHO -> READY -> deliver" t_rbc_happy_path;
     quick "rbc: dedup and split votes" t_rbc_dedup_and_equivocation;
     quick "rbc: f+1 READY amplification" t_rbc_ready_amplification;
+    t_rbc_matches_reference;
     quick "fault: parse/to_string round trip" t_fault_parse_roundtrip;
     quick "fault: duplicate crash/equiv specs rejected"
       t_fault_duplicates_rejected;
     t_fault_roundtrip_q;
     quick "fault: budgets and equivocators" t_fault_budgets;
+    quick "fault: check against the player count" t_fault_check;
     quick "fault: delay is bounded at 2^30" t_fault_jitter_bound;
     t_faultfree_byte_identical;
     t_jitter_invariance;
