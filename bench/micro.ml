@@ -256,6 +256,28 @@ let orbit_ic_regression () =
     k speedup (orbit_t *. 1e3) (direct_t *. 1e3);
   ignore !sink
 
+(* Sharing guard for the orbit state table: cached states after IC and
+   CIC of sequential AND_20 under mu on one memo. The k conditional
+   slices are relabelings of one product law, so a table keyed on the
+   law's content shares their subtrees: 329 states, against 861 when
+   each slice was keyed on its physical identity. A deterministic
+   count. *)
+let orbit_cic_states () =
+  let k = 20 in
+  let tree = Protocols.And_protocols.sequential k in
+  let memo = Proto.Orbit.memo () in
+  ignore
+    (Proto.Information.external_ic_orbit ~memo tree
+       (Protocols.Hard_dist.mu_and_orbit ~k));
+  ignore
+    (Proto.Information.conditional_ic_orbit ~memo tree
+       (Protocols.Hard_dist.mu_and_aux_slices ~k));
+  let states = Proto.Orbit.memo_size memo in
+  assert (states < 430);
+  Exp_util.record_i "orbit_cic_states" states;
+  Exp_util.note "orbit IC + CIC of sequential AND_%d on one memo: %d states" k
+    states
+
 (* Regression guard for exact division by the gcd in
    [Rational.canonical]: on a 6-limb multiple of a 3-limb divisor, the
    Jebelean kernel behind [Bigint.div_exact] must beat the
@@ -492,6 +514,7 @@ let run () =
   null_sink_alloc_check ();
   bitvec_word_regression ();
   orbit_ic_regression ();
+  orbit_cic_states ();
   exact_div_regression ();
   compile_scaling_regression ();
   sim_alloc_regression ();

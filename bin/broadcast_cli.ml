@@ -577,6 +577,10 @@ let run_protocol_cmd =
       Printf.eprintf "run: --pipeline requires --runtime async\n";
       exit 2
     end;
+    if faults <> Netsim.Fault.none && runtime <> `Async then begin
+      Printf.eprintf "run: --faults requires --runtime async\n";
+      exit 2
+    end;
     if engine = `Compiled && runtime = `Async then begin
       Printf.eprintf "run: --engine compiled requires --runtime sync\n";
       exit 2
@@ -796,7 +800,8 @@ let run_protocol_cmd =
          & info [ "faults" ] ~docv:"SPEC"
              ~doc:"Fault plan: comma-separated $(b,crash:P), \
                    $(b,crash:P@S), $(b,drop:F), $(b,delay:J) with \
-                   J at most 2^30, $(b,equiv:P).")
+                   J at most 2^30, $(b,equiv:P). Requires \
+                   $(b,--runtime async).")
   in
   let max_writes =
     Arg.(value & opt int 1_000_000

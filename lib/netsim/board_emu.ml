@@ -203,7 +203,8 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
       in
       let machines =
         Array.map
-          (fun _ -> Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ()))
+          (fun (speaker, _) ->
+            Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ~speaker ()))
           launches
       in
       (* The wave's fan-outs, by the handle their messages carry: each

@@ -24,6 +24,7 @@ type cell = { value : Coding.Bitvec.t; mutable echoes : int; mutable readies : i
 type t = {
   n : int;
   f : int;
+  speaker : int;  (* the one player whose SEND counts *)
   mutable cells : cell array;  (* [0, used): first-seen order *)
   mutable used : int;
   echoed_from : Bytes.t;  (* nonzero: sender already cast its one ECHO vote *)
@@ -37,12 +38,14 @@ let echo_threshold ~n ~f = ((n + f) / 2) + 1
 let ready_amplify ~f = f + 1
 let deliver_threshold ~f = (2 * f) + 1
 
-let create ~n ~f () =
+let create ~n ~f ~speaker () =
   if f < 0 then invalid_arg "Rbc.create: negative f";
   if n <= 3 * f then invalid_arg "Rbc.create: need n > 3f";
+  if speaker < 0 || speaker >= n then invalid_arg "Rbc.create: bad speaker";
   {
     n;
     f;
+    speaker;
     cells = [||];
     used = 0;
     echoed_from = Bytes.make n '\000';
@@ -95,9 +98,10 @@ let handle t ~from phase value =
   if from < 0 || from >= t.n then invalid_arg "Rbc.handle: bad sender";
   match phase with
   | Send ->
-      (* Only the first SEND triggers the echo; an equivocator's second
-         value reaches us only through other players' echoes. *)
-      if t.sent_echo then []
+      (* Only the speaker's first SEND triggers the echo: a SEND from
+         anyone else is a forgery, and an equivocator's second value
+         reaches us only through other players' echoes. *)
+      if t.sent_echo || from <> t.speaker then []
       else begin
         t.sent_echo <- true;
         [ Broadcast (Echo, value) ]

@@ -6,7 +6,8 @@
     the same machine as the SNIPPETS.md exemplars):
 
     - the slot's speaker SENDs its payload to everyone;
-    - on the first SEND, a player ECHOs the payload to everyone;
+    - on the speaker's first SEND, a player ECHOs the payload to
+      everyone (a SEND from any other player is dropped);
     - on [echo_threshold n f] = ⌈(n+f+1)/2⌉ ECHOs of one value, or on
       [f+1] READYs of one value (amplification), a player sends READY
       for that value (once);
@@ -32,9 +33,13 @@ type action =
 
 type t
 
-val create : n:int -> f:int -> unit -> t
+val create : n:int -> f:int -> speaker:int -> unit -> t
 (** A fresh per-slot machine for one player among [n] with fault
-    tolerance [f]. @raise Invalid_argument unless [n > 3f >= 0]. *)
+    tolerance [f], in the slot whose payload [speaker] broadcasts: only
+    [speaker]'s SEND is echoed, so a Byzantine player cannot get an
+    honest speaker's slot to deliver a value the speaker never sent.
+    @raise Invalid_argument unless [n > 3f >= 0] and
+    [0 <= speaker < n]. *)
 
 val handle : t -> from:int -> phase -> Coding.Bitvec.t -> action list
 (** Feed one received message; returns the follow-up actions in order

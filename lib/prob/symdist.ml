@@ -25,13 +25,25 @@ module R = Exact.Rational
     domain value (index) [v]. *)
 type comp = int array array
 
+(* Tables keyed on a composition, hashed over every count (the generic
+   hash reads only the first ten). *)
+module Comp_tbl = Hashtbl.Make (struct
+  type t = comp
+
+  let equal (a : t) b = a = b
+
+  let hash (c : t) =
+    Array.fold_left (Array.fold_left (fun h x -> (h * 65599) + x)) 0 c
+    land max_int
+end)
+
 type 'a t = {
   domain : 'a array;
   blocks : int array;  (** player index -> block id, [0 .. n_blocks-1] *)
   block_sizes : int array;
   classes : (comp * R.t) list;
       (** class composition, per-{e member} weight (not class mass) *)
-  mass_tbl : (string, R.t) Hashtbl.t;  (** keyed on {!comp_key} *)
+  mass_tbl : R.t Comp_tbl.t;
 }
 
 let domain t = t.domain
@@ -76,14 +88,6 @@ let comp_orbit_size block_sizes comp =
     comp;
   !acc
 
-let comp_key (comp : comp) =
-  String.concat "|"
-    (Array.to_list
-       (Array.map
-          (fun row ->
-            String.concat "," (Array.to_list (Array.map string_of_int row)))
-          comp))
-
 let comp_of_profile ~blocks ~n_blocks ~n_values profile_indices =
   let comp = Array.init n_blocks (fun _ -> Array.make n_values 0) in
   Array.iteri
@@ -94,7 +98,7 @@ let comp_of_profile ~blocks ~n_blocks ~n_values profile_indices =
 (** Per-member weight of the class containing the given composition;
     zero off the support. *)
 let mass_of_comp t comp =
-  Option.value ~default:R.zero (Hashtbl.find_opt t.mass_tbl (comp_key comp))
+  Option.value ~default:R.zero (Comp_tbl.find_opt t.mass_tbl comp)
 
 let block_sizes_of blocks =
   let n_blocks =
@@ -150,7 +154,7 @@ let of_classes ~domain ~blocks classes =
   let classes =
     List.filter (fun (_, w) -> not (R.is_zero w)) classes
   in
-  let mass_tbl = Hashtbl.create 16 in
+  let mass_tbl = Comp_tbl.create 16 in
   let total = ref R.zero in
   List.iter
     (fun (comp, w) ->
@@ -166,10 +170,9 @@ let of_classes ~domain ~blocks classes =
         comp;
       if R.sign w < 0 then
         invalid_arg "Symdist.of_classes: negative class weight";
-      let key = comp_key comp in
-      if Hashtbl.mem mass_tbl key then
+      if Comp_tbl.mem mass_tbl comp then
         invalid_arg "Symdist.of_classes: duplicate composition class";
-      Hashtbl.add mass_tbl key w;
+      Comp_tbl.add mass_tbl comp w;
       total := R.add !total (R.mul w (comp_orbit_size block_sizes comp)))
     classes;
   if not (R.is_one !total) then
@@ -275,7 +278,7 @@ let of_dist ~domain ~blocks dist =
   let block_sizes = block_sizes_of blocks in
   let n_blocks = Array.length block_sizes in
   let n_values = Array.length domain in
-  let seen : (string, 'a array * R.t) Hashtbl.t = Hashtbl.create 16 in
+  let seen : ('a array * R.t) Comp_tbl.t = Comp_tbl.create 16 in
   let witness = ref None in
   let expected = ref [] in
   List.iter
@@ -285,10 +288,9 @@ let of_dist ~domain ~blocks dist =
       | None ->
           let idx = Array.map (index_of_value domain) x in
           let comp = comp_of_profile ~blocks ~n_blocks ~n_values idx in
-          let key = comp_key comp in
-          (match Hashtbl.find_opt seen key with
+          (match Comp_tbl.find_opt seen comp with
           | None ->
-              Hashtbl.add seen key (x, w);
+              Comp_tbl.add seen comp (x, w);
               expected := (comp, w, R.one) :: !expected
           | Some (x0, w0) ->
               if not (R.equal w0 w) then witness := Some (x0, x)
@@ -296,8 +298,7 @@ let of_dist ~domain ~blocks dist =
                 expected :=
                   List.map
                     (fun (c, cw, n) ->
-                      if comp_key c = key then (c, cw, R.add n R.one)
-                      else (c, cw, n))
+                      if c = comp then (c, cw, R.add n R.one) else (c, cw, n))
                     !expected))
     (D.to_alist dist);
   match !witness with
@@ -317,7 +318,7 @@ let of_dist ~domain ~blocks dist =
       in
       (match bad with
       | Some (comp, _, _) ->
-          let x0, _ = Hashtbl.find seen (comp_key comp) in
+          let x0, _ = Comp_tbl.find seen comp in
           Error (x0, x0)
       | None ->
           Ok

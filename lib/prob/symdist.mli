@@ -35,9 +35,6 @@ val comp_orbit_size : int array -> comp -> Exact.Rational.t
 (** Orbit size of a composition under the block-wise symmetric group:
     the product of per-block multinomials. First argument: block sizes. *)
 
-val comp_key : comp -> string
-(** Canonical string key of a composition (hashable, comparable). *)
-
 val comp_of_profile :
   blocks:int array -> n_blocks:int -> n_values:int -> int array -> comp
 (** Composition of a profile given as domain {e indices}. *)

@@ -23,11 +23,13 @@
 
     Subtree results are globally hash-consed in a canonical-state table
     (the orbit-mode extension of {!Semantics.memo}): the key is the
-    node's {!Tree.id}, the input law, and the g-state {e up to within-block
-    permutation of the players that never speak below the node}.
-    Branches that reach a shared node with permuted-equivalent states —
-    and in particular leaves, where no player speaks below — collapse
-    to a single cached evaluation. *)
+    node's {!Tree.id}, the input law's content, and the g-state {e up
+    to within-block permutation of the players that never speak below
+    the node}, with each speaking player's block. Branches that reach a
+    shared node with permuted-equivalent states — and in particular
+    leaves, where no player speaks below — collapse to a single cached
+    evaluation, and so do relabelings of one law, such as the
+    conditional slices [X | Z = z] of a CIC. *)
 
 module D = Prob.Dist_exact
 module R = Exact.Rational
@@ -47,27 +49,51 @@ type path = {
 
 type collapsed = path list
 
-(* Input laws are keyed on their physical identity. *)
-module Phys = Hashtbl.Make (struct
-  type t = Obj.t
+(* State keys are int arrays, hashed over every element (the generic
+   hash reads only the first ten). *)
+module Key = Hashtbl.Make (struct
+  type t = int array
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
+  let equal (a : t) b = a = b
+
+  let hash (a : t) =
+    Array.fold_left (fun h x -> (h * 65599) + x) 0 a land max_int
 end)
+
+(* A path as the walk caches it: with each cell's external-IC summand
+   [float (count * w_each) * log2 (w_each / (px_each * p_t))] and that
+   summand's log factor, computed once per cached result however many
+   walks reach it. A [Chance] node scales [w_each] and [p_t] alike, so
+   it keeps the log factors and recomputes only the float masses. *)
+type costed = { path : path; logs : float array; terms : float array }
+
+(* An interned input law. Laws are equal when their domains are equal
+   in order and their classes carry equal weights: the block sizes
+   follow from the classes, and the block assignment does not matter
+   once the state key records the speakers' blocks. [dom] names the
+   domain: the id of the first law interned with an equal one. *)
+type law = {
+  id : int;
+  dom : int;
+  domain : Obj.t;
+  n_classes : int;
+  mass : S.comp -> R.t;
+}
 
 type memo = {
   vec_ids : (R.t array, int) Hashtbl.t;  (* g-vector interning *)
   mutable vecs : R.t array array;  (* gid -> vector *)
   mutable n_vecs : int;
-  dist_ids : int Phys.t;
-  speakers : int list Tree.Tbl.t;  (* node id -> sorted speakers below *)
-  emit_laws : R.t array array Tree.Tbl.t;  (* node id -> emit law rows *)
+  mutable laws : law list;
+  speakers : int array Tree.Tbl.t;  (* node id -> sorted speakers below *)
+  emit_laws : (int * int, R.t array array) Hashtbl.t;
+      (* (node id, domain id) -> emit law rows *)
   group_comps : (int * int, (int array * R.t * R.t) list) Hashtbl.t;
       (* (gid, n) -> per composition of an n-player group with that
          g-vector: (composition, multinomial count, g-weight factor),
          zero-weight compositions dropped. Shared across leaves, paths
          and input laws — the hot loop of the leaf cells. *)
-  states : (int * int * string, path list) Hashtbl.t;
+  states : costed list Key.t;
 }
 
 let memo () =
@@ -75,14 +101,14 @@ let memo () =
     vec_ids = Hashtbl.create 64;
     vecs = [||];
     n_vecs = 0;
-    dist_ids = Phys.create 8;
+    laws = [];
     speakers = Tree.Tbl.create 64;
-    emit_laws = Tree.Tbl.create 64;
+    emit_laws = Hashtbl.create 64;
     group_comps = Hashtbl.create 64;
-    states = Hashtbl.create 256;
+    states = Key.create 256;
   }
 
-let memo_size m = Hashtbl.length m.states
+let memo_size m = Key.length m.states
 
 let intern_vec m v =
   match Hashtbl.find_opt m.vec_ids v with
@@ -99,40 +125,51 @@ let intern_vec m v =
       Hashtbl.add m.vec_ids v id;
       id
 
-let dist_id m dist =
-  let key = Obj.repr dist in
-  match Phys.find_opt m.dist_ids key with
-  | Some id -> id
+(* (domain id, law id) of an input law, interned by content. *)
+let law_id m sym =
+  let domain = Obj.repr (S.domain sym) and classes = S.classes sym in
+  let id = List.length m.laws and n_classes = List.length classes in
+  let dom =
+    match List.find_opt (fun l -> l.domain = domain) m.laws with
+    | Some l -> l.dom
+    | None -> id
+  in
+  let same l =
+    l.dom = dom && l.n_classes = n_classes
+    && List.for_all (fun (c, w) -> R.equal w (l.mass c)) classes
+  in
+  match List.find_opt same m.laws with
+  | Some l -> (dom, l.id)
   | None ->
-      let id = Phys.length m.dist_ids in
-      Phys.add m.dist_ids key id;
-      id
+      let mass = S.mass_of_comp sym in
+      m.laws <- { id; dom; domain; n_classes; mass } :: m.laws;
+      (dom, id)
 
 (* Sorted distinct players that may speak in the subtree. *)
 let rec speakers_of m node =
   match Tree.Tbl.find_opt m.speakers (Tree.id node) with
   | Some s -> s
   | None ->
-      let merge a b =
-        List.sort_uniq Stdlib.compare (List.rev_append a b)
+      let below children =
+        Array.fold_left
+          (fun acc c -> List.rev_append (Array.to_list (speakers_of m c)) acc)
+          [] children
       in
       let s =
         match node with
         | Tree.Output _ -> []
-        | Tree.Speak { speaker; children; _ } ->
-            Array.fold_left
-              (fun acc c -> merge acc (speakers_of m c))
-              [ speaker ] children
-        | Tree.Chance { children; _ } ->
-            Array.fold_left (fun acc c -> merge acc (speakers_of m c)) [] children
+        | Tree.Speak { speaker; children; _ } -> speaker :: below children
+        | Tree.Chance { children; _ } -> below children
       in
+      let s = Array.of_list (List.sort_uniq Int.compare s) in
       Tree.Tbl.add m.speakers (Tree.id node) s;
       s
 
-(* Emit law of a Speak node, tabulated per domain value:
+(* Emit law of a Speak node over one domain, tabulated per value:
    row v = [| P(emit domain.(v) = 0); ...; P(emit domain.(v) = arity-1) |]. *)
-let emit_rows m node emit domain arity =
-  match Tree.Tbl.find_opt m.emit_laws (Tree.id node) with
+let emit_rows m node emit domain dom arity =
+  let key = (Tree.id node, dom) in
+  match Hashtbl.find_opt m.emit_laws key with
   | Some rows -> rows
   | None ->
       let rows =
@@ -142,7 +179,7 @@ let emit_rows m node emit domain arity =
             Array.init arity (fun sym -> D.prob_of d sym))
           domain
       in
-      Tree.Tbl.add m.emit_laws (Tree.id node) rows;
+      Hashtbl.add m.emit_laws key rows;
       rows
 
 (* Value compositions of an [n]-player group whose members share the
@@ -184,43 +221,48 @@ let group_comps m gid n =
       Hashtbl.add m.group_comps (gid, n) l;
       l
 
-(* Canonical state key: speaking players individually (their identity
-   matters below this node), everyone else as a per-block sorted gid
+(* Canonical state key: [| node id; law id |], then each speaking
+   player as (player, block, gid) — its identity matters below this
+   node, and its block once laws with different block assignments
+   share the table — then everyone else as a per-block sorted gid
    multiset (interchangeable: the leaf cells depend only on group
-   sizes). *)
-let state_key m node blocks n_blocks gids =
-  let speaking = speakers_of m node in
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun i ->
-      if i < Array.length gids then begin
-        Buffer.add_char buf 'p';
-        Buffer.add_string buf (string_of_int i);
-        Buffer.add_char buf ':';
-        Buffer.add_string buf (string_of_int gids.(i));
-        Buffer.add_char buf ';'
-      end)
-    speaking;
-  let is_speaking = Array.make (Array.length gids) false in
-  List.iter
-    (fun i -> if i < Array.length gids then is_speaking.(i) <- true)
-    speaking;
-  for b = 0 to n_blocks - 1 do
-    let ids = ref [] in
-    Array.iteri
-      (fun i bi -> if bi = b && not is_speaking.(i) then ids := gids.(i) :: !ids)
-      blocks;
-    Buffer.add_char buf 'b';
-    Buffer.add_string buf (string_of_int b);
-    Buffer.add_char buf ':';
-    List.iter
-      (fun g ->
-        Buffer.add_string buf (string_of_int g);
-        Buffer.add_char buf ',')
-      (List.sort Stdlib.compare !ids);
-    Buffer.add_char buf ';'
+   sizes). The node fixes the speakers and the law the block sizes, so
+   the layout needs no separators. *)
+let state_key m node law blocks n_blocks gids =
+  let sp = speakers_of m node in
+  let n = Array.length gids in
+  let ns = ref 0 in
+  while !ns < Array.length sp && sp.(!ns) < n do
+    incr ns
   done;
-  Buffer.contents buf
+  let ns = !ns in
+  let key = Array.make (2 + (3 * ns) + n - ns) 0 in
+  key.(0) <- Tree.id node;
+  key.(1) <- law;
+  for j = 0 to ns - 1 do
+    let i = sp.(j) in
+    key.(2 + (3 * j)) <- i;
+    key.(3 + (3 * j)) <- blocks.(i);
+    key.(4 + (3 * j)) <- gids.(i)
+  done;
+  let pos = ref (2 + (3 * ns)) in
+  for b = 0 to n_blocks - 1 do
+    let start = !pos and j = ref 0 in
+    for i = 0 to n - 1 do
+      if !j < ns && sp.(!j) = i then incr j
+      else if blocks.(i) = b then begin
+        (* insertion into the sorted run [start, !pos) *)
+        let g = gids.(i) and q = ref !pos in
+        while !q > start && key.(!q - 1) > g do
+          key.(!q) <- key.(!q - 1);
+          decr q
+        done;
+        key.(!q) <- g;
+        incr pos
+      end
+    done
+  done;
+  key
 
 (* Cells at a leaf: group players by (block, gid); every choice of one
    value composition per group is a cell. All members of a cell share
@@ -257,18 +299,50 @@ let leaf_cells m sym blocks n_blocks n_values gids =
   go groups R.one R.one;
   List.rev !cells
 
-let collapse ?memo:m tree sym =
-  let m = match m with Some m -> m | None -> memo () in
+let leaf_path cells =
+  let masses = List.map (fun cl -> R.mul cl.count cl.w_each) cells in
+  let p_t = List.fold_left R.add R.zero masses in
+  let logs =
+    Array.of_list
+      (List.map
+         (fun cl -> R.log2 (R.div cl.w_each (R.mul cl.px_each p_t)))
+         cells)
+  in
+  let terms =
+    Array.of_list (List.mapi (fun j cw -> R.to_float cw *. logs.(j)) masses)
+  in
+  { path = { transcript = []; cells; p_t }; logs; terms }
+
+let prefix event x =
+  { x with path = { x.path with transcript = event :: x.path.transcript } }
+
+(* The path below coin outcome [c] of weight [wc]. *)
+let scale c wc x =
+  let cells =
+    List.map (fun cl -> { cl with w_each = R.mul wc cl.w_each }) x.path.cells
+  in
+  let terms =
+    List.mapi
+      (fun j cl -> R.to_float (R.mul cl.count cl.w_each) *. x.logs.(j))
+      cells
+  in
+  prefix (Tree.Coin c)
+    {
+      x with
+      path = { x.path with cells; p_t = R.mul wc x.path.p_t };
+      terms = Array.of_list terms;
+    }
+
+let walk m tree sym =
   let blocks = S.blocks sym in
   let domain = S.domain sym in
   let n_values = Array.length domain in
   let n_blocks = Array.fold_left (fun a b -> max a (b + 1)) 0 blocks in
-  let did = dist_id m sym in
+  let dom, law = law_id m sym in
   let gid_one = intern_vec m (Array.make n_values R.one) in
-  let init_gids = Array.make (Array.length blocks) gid_one in
-  let rec walk node gids =
-    let key = (Tree.id node, did, state_key m node blocks n_blocks gids) in
-    match Hashtbl.find_opt m.states key with
+  let rec go node gids =
+    let key = state_key m node law blocks n_blocks gids in
+    match Key.find_opt m.states key with
     | Some r -> r
     | None ->
         let r =
@@ -276,10 +350,10 @@ let collapse ?memo:m tree sym =
           | Tree.Output _ -> (
               match leaf_cells m sym blocks n_blocks n_values gids with
               | [] -> []
-              | cells -> [ { transcript = []; cells; p_t = R.zero } ])
+              | cells -> [ leaf_path cells ])
           | Tree.Speak { speaker; emit; children; _ } ->
               let arity = Array.length children in
-              let rows = emit_rows m node emit domain arity in
+              let rows = emit_rows m node emit domain dom arity in
               let g = m.vecs.(gids.(speaker)) in
               List.concat
                 (List.init arity (fun sym_m ->
@@ -291,42 +365,24 @@ let collapse ?memo:m tree sym =
                      else begin
                        let gids' = Array.copy gids in
                        gids'.(speaker) <- intern_vec m g';
-                       walk children.(sym_m) gids'
-                       |> List.map (fun p ->
-                              {
-                                p with
-                                transcript =
-                                  Tree.Msg (speaker, sym_m) :: p.transcript;
-                              })
+                       List.map
+                         (prefix (Tree.Msg (speaker, sym_m)))
+                         (go children.(sym_m) gids')
                      end))
           | Tree.Chance { coin; children; _ } ->
               List.concat_map
-                (fun (c, wc) ->
-                  walk children.(c) gids
-                  |> List.map (fun p ->
-                         {
-                           transcript = Tree.Coin c :: p.transcript;
-                           cells =
-                             List.map
-                               (fun cl ->
-                                 { cl with w_each = R.mul wc cl.w_each })
-                               p.cells;
-                           p_t = p.p_t;
-                         }))
+                (fun (c, wc) -> List.map (scale c wc) (go children.(c) gids))
                 (D.to_alist coin)
         in
-        Hashtbl.add m.states key r;
+        Key.add m.states key r;
         r
   in
-  walk tree init_gids
-  |> List.map (fun p ->
-         {
-           p with
-           p_t =
-             List.fold_left
-               (fun acc cl -> R.add acc (R.mul cl.count cl.w_each))
-               R.zero p.cells;
-         })
+  go tree (Array.make (Array.length blocks) gid_one)
+
+let or_fresh = function Some m -> m | None -> memo ()
+
+let collapse ?memo tree sym =
+  List.map (fun x -> x.path) (walk (or_fresh memo) tree sym)
 
 (* ------------------------------------------------------------------ *)
 (* Measures over the collapsed form. Identical rational terms to the   *)
@@ -356,15 +412,7 @@ let total_mass ?memo tree sym =
     [sum_t sum_cells count * w * log2 (w / (px * p_t))]. *)
 let external_ic ?memo tree sym =
   let add, total = kahan () in
-  List.iter
-    (fun p ->
-      List.iter
-        (fun cl ->
-          add
-            (R.to_float (R.mul cl.count cl.w_each)
-            *. R.log2 (R.div cl.w_each (R.mul cl.px_each p.p_t))))
-        p.cells)
-    (collapse ?memo tree sym);
+  List.iter (fun x -> Array.iter add x.terms) (walk (or_fresh memo) tree sym);
   total ()
 
 (** Shannon entropy of the transcript, [H(T)]. *)
@@ -380,7 +428,7 @@ let transcript_entropy ?memo tree sym =
     variable [D] (e.g. one block-symmetric slice per special player of
     [mu_and]). *)
 let conditional_ic ?memo:mo tree slices =
-  let m = match mo with Some m -> m | None -> memo () in
+  let m = or_fresh mo in
   let add, total = kahan () in
   List.iter
     (fun (wd, sym) ->

@@ -27,10 +27,15 @@ type path = {
 type collapsed = path list
 
 type memo
-(** Canonical-state table shared across calls: g-vector interning plus
-    cached subtree results keyed on (node id, input law, g-state
-    up to within-block permutation of never-speaking players). Not
-    thread-safe: share within one domain only. *)
+(** Canonical-state table shared across calls and input laws: g-vector
+    interning, each Speak node's emit rows per (node id, domain), and
+    cached subtree results keyed on the node id, the input law's
+    {e content} (its domain in order and its class weights, so
+    relabelings of one law — the conditional slices of a CIC — share
+    entries), each speaking player's block and g-vector, and the other
+    players' g-vectors as per-block multisets. A cached path carries
+    its cells' external-IC terms, so a result that many laws reach is
+    costed once. Not thread-safe: share within one domain only. *)
 
 val memo : unit -> memo
 val memo_size : memo -> int

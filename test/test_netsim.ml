@@ -241,11 +241,14 @@ let t_rbc_thresholds () =
   Alcotest.(check int) "deliver f=1" 3 (Rbc.deliver_threshold ~f:1);
   Alcotest.check_raises "n <= 3f refused"
     (Invalid_argument "Rbc.create: need n > 3f") (fun () ->
-      ignore (Rbc.create ~n:3 ~f:1 ()))
+      ignore (Rbc.create ~n:3 ~f:1 ~speaker:0 ()));
+  Alcotest.check_raises "speaker outside the players refused"
+    (Invalid_argument "Rbc.create: bad speaker") (fun () ->
+      ignore (Rbc.create ~n:4 ~f:1 ~speaker:4 ()))
 
 let t_rbc_happy_path () =
   (* One player's machine in an n=4, f=1 instance, fed by hand. *)
-  let m = Rbc.create ~n:4 ~f:1 () in
+  let m = Rbc.create ~n:4 ~f:1 ~speaker:0 () in
   let v = vec_of_string "1011" in
   (match Rbc.handle m ~from:0 Rbc.Send v with
   | [ Rbc.Broadcast (Rbc.Echo, v') ] ->
@@ -272,7 +275,7 @@ let t_rbc_happy_path () =
   | None -> Alcotest.fail "delivered lost"
 
 let t_rbc_dedup_and_equivocation () =
-  let m = Rbc.create ~n:4 ~f:1 () in
+  let m = Rbc.create ~n:4 ~f:1 ~speaker:0 () in
   let a = vec_of_string "0000" and b = vec_of_string "1111" in
   ignore (Rbc.handle m ~from:0 Rbc.Send a);
   (* The same sender echoing twice counts once; a conflicting later
@@ -290,7 +293,7 @@ let t_rbc_dedup_and_equivocation () =
 
 let t_rbc_ready_amplification () =
   (* f+1 READYs force READY even with no echo quorum at all. *)
-  let m = Rbc.create ~n:4 ~f:1 () in
+  let m = Rbc.create ~n:4 ~f:1 ~speaker:0 () in
   let v = vec_of_string "10" in
   ignore (Rbc.handle m ~from:1 Rbc.Ready v);
   match Rbc.handle m ~from:2 Rbc.Ready v with
@@ -301,9 +304,54 @@ let t_rbc_ready_amplification () =
   | [ Rbc.Broadcast (Rbc.Ready, _) ] -> ()
   | _ -> Alcotest.fail "f+1 READYs must amplify"
 
+let t_rbc_forged_send () =
+  (* n = 4, f = 1, honest speaker 0 broadcasting [a]. Byzantine player 3
+     gets a SEND of [b] to players 1 and 2 before the speaker's SEND
+     reaches them, then sends ECHO [b] and READY [b] to everyone. If the
+     forged SEND were echoed, players 1, 2 and 3 would make the echo
+     quorum for [b] and every honest player would deliver it. *)
+  let a = vec_of_string "0" and b = vec_of_string "1" in
+  let honest = [ 0; 1; 2 ] in
+  let m = Array.init 3 (fun _ -> Rbc.create ~n:4 ~f:1 ~speaker:0 ()) in
+  let queue = Queue.create () in
+  (* A player handles its own broadcast at once and queues it for the
+     other honest players, as Board_emu does. *)
+  let rec act p = function
+    | Rbc.Broadcast (phase, v) ->
+        List.iter (act p) (Rbc.handle m.(p) ~from:p phase v);
+        List.iter
+          (fun q -> if q <> p then Queue.add (p, q, phase, v) queue)
+          honest
+    | Rbc.Deliver _ -> ()
+  in
+  let deliver (src, dst, phase, v) =
+    List.iter (act dst) (Rbc.handle m.(dst) ~from:src phase v)
+  in
+  act 0 (Rbc.Broadcast (Rbc.Send, a));
+  deliver (3, 1, Rbc.Send, b);
+  deliver (3, 2, Rbc.Send, b);
+  List.iter
+    (fun q ->
+      deliver (3, q, Rbc.Echo, b);
+      deliver (3, q, Rbc.Ready, b))
+    honest;
+  while not (Queue.is_empty queue) do
+    deliver (Queue.pop queue)
+  done;
+  List.iter
+    (fun p ->
+      match Rbc.delivered m.(p) with
+      | Some v when Coding.Bitvec.equal v a -> ()
+      | Some v ->
+          Alcotest.failf "player %d delivered %s, which the speaker never sent"
+            p (Coding.Bitvec.to_string v)
+      | None -> Alcotest.failf "player %d delivered nothing" p)
+    honest
+
 (* Reference machine for the differential property below: votes keyed
    by the value's '0'/'1' rendering in a string-hashed table, one
-   record per distinct value, one bool per sender and phase. *)
+   record per distinct value, one bool per sender and phase; only the
+   speaker's SEND counts. *)
 module Ref_rbc = struct
   type votes = {
     value : Coding.Bitvec.t;
@@ -314,6 +362,7 @@ module Ref_rbc = struct
   type t = {
     n : int;
     f : int;
+    speaker : int;
     votes : (string, votes) Hashtbl.t;
     echoed_from : bool array;
     readied_from : bool array;
@@ -322,10 +371,10 @@ module Ref_rbc = struct
     mutable delivered : Coding.Bitvec.t option;
   }
 
-  let create ~n ~f =
-    { n; f; votes = Hashtbl.create 4; echoed_from = Array.make n false;
-      readied_from = Array.make n false; sent_echo = false;
-      sent_ready = false; delivered = None }
+  let create ~n ~f ~speaker =
+    { n; f; speaker; votes = Hashtbl.create 4;
+      echoed_from = Array.make n false; readied_from = Array.make n false;
+      sent_echo = false; sent_ready = false; delivered = None }
 
   let votes_for t value =
     let key = Coding.Bitvec.to_string value in
@@ -355,7 +404,7 @@ module Ref_rbc = struct
   let handle t ~from phase value =
     match phase with
     | Rbc.Send ->
-        if t.sent_echo then []
+        if t.sent_echo || from <> t.speaker then []
         else begin
           t.sent_echo <- true;
           [ Rbc.Broadcast (Rbc.Echo, value) ]
@@ -381,12 +430,14 @@ end
 type rbc_case = {
   n : int;
   f : int;
+  speaker : int;
   values : string array;  (* 1-3 values as '0'/'1' strings *)
   msgs : (int * Rbc.phase * int) list;  (* sender, phase, value index *)
 }
 
 let show_rbc_case c =
-  Printf.sprintf "n=%d f=%d values=[%s] msgs=[%s]" c.n c.f
+  Printf.sprintf "n=%d f=%d speaker=%d values=[%s] msgs=[%s]" c.n c.f
+    c.speaker
     (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%S") c.values)))
     (String.concat ";"
        (List.map
@@ -397,11 +448,13 @@ let show_rbc_case c =
    equal lengths with different bits, and equal values, are common; an
    equivocator's second value is often the first with one bit flipped,
    anywhere in it. Value 0 is the most frequent, so thresholds get
-   crossed, and values 1-2 play the second value. *)
+   crossed, and values 1-2 play the second value. Half the SENDs come
+   from the speaker, the rest from anyone. *)
 let rbc_case_gen =
   QCheck.Gen.(
     let* n = int_range 4 10 in
     let* f = int_range 0 ((n - 1) / 3) in
+    let* speaker = int_bound (n - 1) in
     let* nvals = int_range 1 3 in
     let random =
       let* len = oneofl [ 0; 1; 3; 8; 9; 17 ] in
@@ -419,14 +472,23 @@ let rbc_case_gen =
     in
     let values = Array.of_list (first :: rest) in
     let msg =
-      triple (int_bound (n - 1))
-        (frequency
-           [ (1, return Rbc.Send); (3, return Rbc.Echo); (3, return Rbc.Ready) ])
-        (map (fun i -> i mod nvals)
-           (frequency [ (6, return 0); (2, return 1); (1, return 2) ]))
+      let* phase =
+        frequency
+          [ (1, return Rbc.Send); (3, return Rbc.Echo); (3, return Rbc.Ready) ]
+      in
+      let* from =
+        if phase = Rbc.Send then
+          frequency [ (1, return speaker); (1, int_bound (n - 1)) ]
+        else int_bound (n - 1)
+      in
+      let+ v =
+        map (fun i -> i mod nvals)
+          (frequency [ (6, return 0); (2, return 1); (1, return 2) ])
+      in
+      (from, phase, v)
     in
     let* msgs = list_size (int_range 0 (6 * n)) msg in
-    return { n; f; values; msgs })
+    return { n; f; speaker; values; msgs })
 
 (* Each message carries a fresh vector, so no lookup can lean on
    physical equality; every other one comes from a frozen writer, whose
@@ -451,7 +513,8 @@ let t_rbc_matches_reference =
   qtest ~count:500 "rbc: vote cells = string-keyed reference"
     (QCheck.make ~print:show_rbc_case rbc_case_gen)
     (fun c ->
-      let m = Rbc.create ~n:c.n ~f:c.f () and r = Ref_rbc.create ~n:c.n ~f:c.f in
+      let m = Rbc.create ~n:c.n ~f:c.f ~speaker:c.speaker ()
+      and r = Ref_rbc.create ~n:c.n ~f:c.f ~speaker:c.speaker in
       List.for_all
         (fun (i, (from, phase, v)) ->
           let s = c.values.(v) in
@@ -989,6 +1052,7 @@ let suite =
     quick "rbc: SEND -> ECHO -> READY -> deliver" t_rbc_happy_path;
     quick "rbc: dedup and split votes" t_rbc_dedup_and_equivocation;
     quick "rbc: f+1 READY amplification" t_rbc_ready_amplification;
+    quick "rbc: a forged SEND is not echoed" t_rbc_forged_send;
     t_rbc_matches_reference;
     quick "fault: parse/to_string round trip" t_fault_parse_roundtrip;
     quick "fault: duplicate crash/equiv specs rejected"

@@ -231,6 +231,78 @@ let prop_orbit_equals_direct_random =
                [| R.of_ints 1 5; R.of_ints 4 5 |] |];
         ])
 
+(* [Orbit.conditional_ic]'s Kahan sum over per-slice terms. *)
+let kahan_sum xs =
+  let sum = ref 0.0 and comp = ref 0.0 in
+  List.iter
+    (fun x ->
+      let y = x -. !comp in
+      let t = !sum +. y in
+      comp := t -. !sum -. y;
+      sum := t)
+    xs;
+  !sum
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let prop_orbit_shared_memo =
+  qtest "one memo across CIC slices and relabeled laws = fresh memos"
+    ~count:60 QCheck.small_nat (fun seed ->
+      let rng = Prob.Rng.of_int_seed seed in
+      let k = 3 + Prob.Rng.int rng 3 in
+      let tree = random_tree ~rng ~k ~depth:(2 + Prob.Rng.int rng 3) in
+      let p_zero = R.of_ints (1 + Prob.Rng.int rng 4) 6 in
+      let slices = Protocols.Hard_dist.mu_and_aux_slices_p ~k ~p_zero in
+      (* One iid law under two random block assignments of sizes 2 and
+         k - 2: equal content, so the two share the memo's entries. *)
+      let relabeled () =
+        let blocks = Array.init k (fun i -> if i < 2 then 0 else 1) in
+        Prob.Rng.shuffle rng blocks;
+        SD.iid_blocks ~domain:[| 0; 1 |] ~blocks
+          [| [| R.of_ints 1 3; R.of_ints 2 3 |];
+             [| p_zero; R.sub R.one p_zero |] |]
+      in
+      let memo = Orbit.memo () in
+      let exact sym =
+        Orbit.For_testing.equal_collapsed
+          (Orbit.collapse ~memo tree sym)
+          (Orbit.For_testing.collapse_direct tree sym)
+      in
+      let r1 = relabeled () and r2 = relabeled () in
+      exact r1 && exact r2
+      && same_bits
+           (Orbit.conditional_ic ~memo tree slices)
+           (kahan_sum
+              (List.map
+                 (fun (wd, sym) -> R.to_float wd *. Orbit.external_ic tree sym)
+                 slices))
+      && List.for_all (fun (_, sym) -> exact sym) slices)
+
+let test_orbit_memo_across_domains () =
+  (* One law written over the domain [0; 1] and over [1; 0]: a memo
+     shared by the two must tabulate each Speak node's emit rows per
+     domain, or the second law reads the first one's rows. *)
+  let tree =
+    Protocols.And_protocols.noisy_sequential ~k:4 ~noise:(R.of_ints 1 10)
+  in
+  let law domain w = SD.iid_blocks ~domain ~blocks:[| 0; 0; 0; 0 |] [| w |] in
+  let a = law [| 0; 1 |] [| R.of_ints 1 3; R.of_ints 2 3 |]
+  and b = law [| 1; 0 |] [| R.of_ints 2 3; R.of_ints 1 3 |] in
+  let memo = Orbit.memo () in
+  List.iter
+    (fun (name, sym) ->
+      let shared = Orbit.external_ic ~memo tree sym in
+      let fresh = Orbit.external_ic tree sym in
+      if not (same_bits shared fresh) then
+        Alcotest.failf "%s: IC %.17g on the shared memo, %.17g on a fresh one"
+          name shared fresh;
+      Alcotest.(check bool)
+        (name ^ ": shared-memo collapse = direct") true
+        (Orbit.For_testing.equal_collapsed
+           (Orbit.collapse ~memo tree sym)
+           (Orbit.For_testing.collapse_direct tree sym)))
+    [ ("domain [0; 1]", a); ("domain [1; 0]", b) ]
+
 let test_orbit_registry_sweep () =
   (* Every registry entry with a declared symmetry: collapse under the
      uniform block-exchangeable law over its own domain and hold it
@@ -340,6 +412,8 @@ let suite =
     quick "of_dist round trip and refusal witness"
       test_of_dist_roundtrip_and_refusal;
     prop_orbit_equals_direct_random;
+    prop_orbit_shared_memo;
+    quick "one memo across two domain orders" test_orbit_memo_across_domains;
     slow "registry sweep: declarations sound, orbit = direct (width 0)"
       test_orbit_registry_sweep;
     quick "registry rejects a false Full declaration"
