@@ -278,6 +278,29 @@ let orbit_cic_states () =
   Exp_util.note "orbit IC + CIC of sequential AND_%d on one memo: %d states" k
     states
 
+(* Allocation guard for the direct engine's joint table: minor words
+   per atom of [mu_and_with_aux ~k:9] (2,304 atoms) for one warm-memo
+   [conditional_ic] of sequential AND_9. Over the int-coded table the
+   run reads ~95; conditioning the hashed joint once per value of Z,
+   with three hash-deduping [D.map]s per slice, read 456. *)
+let direct_cic_words () =
+  let k = 9 in
+  let tree = Protocols.And_protocols.sequential k in
+  let mu_aux = Protocols.Hard_dist.mu_and_with_aux ~k in
+  let memo = Proto.Semantics.memo () in
+  ignore (Proto.Information.conditional_ic ~memo tree mu_aux);
+  let atoms = float_of_int (Prob.Dist_exact.size mu_aux) in
+  let before = Gc.minor_words () in
+  ignore
+    (Sys.opaque_identity (Proto.Information.conditional_ic ~memo tree mu_aux));
+  let words = (Gc.minor_words () -. before) /. atoms in
+  assert (words < 304.0);
+  Exp_util.record_f "direct_cic_words_per_atom" words;
+  Exp_util.note
+    "direct CIC of sequential AND_%d, warm memo (%.0f atoms): %.1f minor \
+     words per atom"
+    k atoms words
+
 (* Regression guard for exact division by the gcd in
    [Rational.canonical]: on a 6-limb multiple of a 3-limb divisor, the
    Jebelean kernel behind [Bigint.div_exact] must beat the
@@ -515,6 +538,7 @@ let run () =
   bitvec_word_regression ();
   orbit_ic_regression ();
   orbit_cic_states ();
+  direct_cic_words ();
   exact_div_regression ();
   compile_scaling_regression ();
   sim_alloc_regression ();

@@ -78,6 +78,21 @@ let check_budget cmd = function
       exit 2
   | Some _ | None -> ()
 
+(* [info] and [compress] build the Section-4.1 law, which needs at least
+   two players, and a noise rate outside [0, 1/2) makes no noisy AND:
+   each is a usage error (exit 2), not an uncaught Invalid_argument. *)
+let check_players cmd k =
+  if k < 2 then begin
+    Printf.eprintf "%s: -k must be at least 2, got %d\n" cmd k;
+    exit 2
+  end
+
+let check_noise cmd noise =
+  if not (Float.is_finite noise && noise >= 0. && noise < 0.5) then begin
+    Printf.eprintf "%s: --noise must be in [0, 1/2), got %g\n" cmd noise;
+    exit 2
+  end
+
 (* A command's last step: exit with its status unless that is 0. *)
 let finish code = if code <> 0 then exit code
 
@@ -201,6 +216,8 @@ let info_cmd =
     [ ("sequential", Sequential); ("broadcast", Broadcast); ("noisy", Noisy) ]
   in
   let run k protocol noise =
+    check_players "info" k;
+    check_noise "info" noise;
     let protocol_name =
       List.find (fun (_, p) -> p = protocol) protocols |> fst
     in
@@ -223,15 +240,17 @@ let info_cmd =
     Printf.printf "  CC (worst case)        = %d bits\n"
       (Proto.Tree.communication_cost tree);
     Printf.printf "  worst-case error       = %s\n" (Exact.Rational.to_string err);
+    (* One memo: the four measures read the same transcript laws. *)
+    let memo = Proto.Semantics.memo () in
     Printf.printf "  IC_mu   = I(T;X)       = %.4f bits\n"
-      (Proto.Information.external_ic tree mu);
+      (Proto.Information.external_ic ~memo tree mu);
     Printf.printf "  CIC_mu  = I(T;X|Z)     = %.4f bits\n"
-      (Proto.Information.conditional_ic tree mu_aux);
+      (Proto.Information.conditional_ic ~memo tree mu_aux);
     Printf.printf "  H(T)                   = %.4f bits\n"
-      (Proto.Information.transcript_entropy tree mu);
+      (Proto.Information.transcript_entropy ~memo tree mu);
     Printf.printf "  log2 k                 = %.4f bits\n"
       (Float.log2 (float_of_int k));
-    let rounds = Proto.Information.per_round_information tree mu in
+    let rounds = Proto.Information.per_round_information ~memo tree mu in
     Printf.printf "  per-round information  = [%s]\n"
       (String.concat "; "
          (Array.to_list (Array.map (Printf.sprintf "%.4f") rounds)))
@@ -258,6 +277,7 @@ let info_cmd =
 
 let compress_cmd =
   let run k copies seed eps metrics =
+    check_players "compress" k;
     with_metrics metrics (fun () ->
         let tree = Protocols.And_protocols.sequential k in
         let mu = Protocols.Hard_dist.mu_and ~k in

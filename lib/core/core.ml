@@ -9,7 +9,7 @@
     - {!Exact}: arbitrary-precision integers and rationals (built from
       scratch) for exact probability computations.
     - {!Prob}: deterministic PRNG, finite distributions (float and
-      exact-rational), joint-distribution operations, fast samplers.
+      exact-rational), fast samplers.
     - {!Infotheory}: entropy, KL divergence, (conditional) mutual
       information over finite distributions.
     - {!Coding}: bit buffers, self-delimiting integer codes, and the

@@ -1,5 +1,14 @@
 (** Information costs of protocols (Definitions 5 and 6 of the paper),
-    computed exactly from the protocol-tree semantics. *)
+    computed exactly from the protocol-tree semantics.
+
+    The four direct measures read one int-coded table of the joint law
+    of inputs, auxiliary variable and transcript: the rows of
+    {!Semantics.joint} (or {!Semantics.joint_with_aux}), in the same
+    order, with the same exact weights, with each input, aux value and
+    transcript numbered. {!external_ic}, {!conditional_ic} and
+    {!transcript_entropy} add the same float terms in the same order as
+    {!Infotheory.Measures} over those joints, so their results are
+    bit-identical to it. *)
 
 val external_ic :
   ?memo:Semantics.memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t -> float
@@ -39,8 +48,17 @@ val per_round_information :
     the expected KL divergence between the speaker's true next-message
     law and the external observer's prediction — exactly the quantity
     the Lemma-7 compressor pays per round. Sums to {!external_ic} up to
-    float rounding. Computed from {!Semantics.joint}, so [memo] shares
-    the transcript laws with the other measures. *)
+    float rounding. Computed from the joint table, so [memo] shares the
+    transcript laws with the other measures.
+
+    Summation order: each round's terms are added with plain float
+    addition in row order of the joint law — inputs in order of first
+    occurrence in [mu], each input's transcripts in the order of its
+    transcript law — and a term (one input, one prefix, one message) is
+    added at its first appearance. The order is deterministic; each term
+    is the exact rational [P(x,p,m) P(p) / (P(x,p) P(p,m))] through
+    [Exact.Rational.log2], so a round moves only by the rounding of the
+    float sum (within 1e-12 of any other order on the tested trees). *)
 
 (** {2 Orbit engine}
 

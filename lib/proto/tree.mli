@@ -67,7 +67,7 @@ val speak_unguarded :
 (** A [Speak] node exactly as given: no check on the speaker or the
     children, and [emit] is not wrapped in the arity guard. For
     rebuilding a node whose [emit] is already guarded (the
-    {!Combinators}, {!Lowerbound.Yao}) and for malformed fixtures; the
+    {!Combinators}, the tests' Yao check) and for malformed fixtures; the
     proto-lint analyzer ({!Analysis}) reports a bad node statically. *)
 
 val chance : coin:int Prob.Dist_exact.t -> 'a t array -> 'a t

@@ -24,43 +24,83 @@ let slice ~k ~c =
     (fun x -> Array.fold_left (fun acc b -> acc + (1 - b)) 0 x = c)
     (Proto.Semantics.all_bit_inputs k)
 
+let check_p ~fn ~k p_zero =
+  if k < 2 then invalid_arg ("Hard_dist." ^ fn ^ ": need k >= 2");
+  if R.sign p_zero < 0 || R.compare p_zero R.one > 0 then
+    invalid_arg ("Hard_dist." ^ fn ^ ": p_zero out of range")
+
+(* The number of zeros among the low [k] bits of [code]. *)
+let zeros ~k code =
+  let c = ref 0 in
+  for i = 0 to k - 1 do
+    if (code lsr i) land 1 = 0 then incr c
+  done;
+  !c
+
+(* The mass of one input with [c >= 1] zeros under the [p_zero] law:
+   [(c/k) p_zero^(c-1) (1-p_zero)^(k-c)], as each of its zeros can be
+   the special player's and the other [c - 1] are spontaneous. *)
+let and_mass ~k ~p_zero c =
+  R.mul (R.of_ints c k)
+    (R.mul (R.pow p_zero (c - 1)) (R.pow (R.sub R.one p_zero) (k - c)))
+
 (** Like {!mu_and_with_aux} but with the non-special players' zero
     probability as a parameter — the Section 4.1 design discussion made
     explorable. [p_zero = 0] gives the "all others get 1" extreme (zero
     residual entropy, so zero CIC is achievable); [p_zero] large makes
     zeros unsurprising. The paper's [1/k] balances the two; the E1b
-    ablation sweeps this. *)
+    ablation sweeps this.
+
+    Given [Z = z] the other [k - 1] bits are iid, so their code [r] has
+    one law for every [z], with one of [k] weights per zero count, and
+    [X] is [r] with a zero inserted at [z]. Ascending [r] is ascending
+    input code: the atoms come by [z], then by input code. *)
 let mu_and_with_aux_p ~k ~p_zero =
-  if k < 2 then invalid_arg "Hard_dist.mu_and_with_aux_p: need k >= 2";
-  if R.sign p_zero < 0 || R.compare p_zero R.one > 0 then
-    invalid_arg "Hard_dist.mu_and_with_aux_p: p_zero out of range";
+  check_p ~fn:"mu_and_with_aux_p" ~k p_zero;
   let p_one = R.sub R.one p_zero in
-  let pairs =
-    List.concat_map
-      (fun z ->
-        List.filter_map
-          (fun x ->
-            if x.(z) <> 0 then None
-            else begin
-              let w = ref (R.of_ints 1 k) (* choice of Z *) in
-              Array.iteri
-                (fun i b ->
-                  if i <> z then
-                    w := R.mul !w (if b = 0 then p_zero else p_one))
-                x;
-              Some ((x, z), !w)
-            end)
-          (Proto.Semantics.all_bit_inputs k))
-      (List.init k (fun z -> z))
+  let weight =
+    Array.init k (fun c -> R.mul (R.pow p_zero c) (R.pow p_one (k - 1 - c)))
   in
-  D.of_weighted pairs
+  let others =
+    D.of_weighted
+      (List.init (1 lsl (k - 1)) (fun r -> (r, weight.(zeros ~k:(k - 1) r))))
+  in
+  D.bind_disjoint
+    (D.uniform (List.init k Fun.id))
+    (fun z ->
+      D.map_injective
+        (fun r ->
+          ( Array.init k (fun i ->
+                if i < z then (r lsr i) land 1
+                else if i = z then 0
+                else (r lsr (i - 1)) land 1),
+            z ))
+        others)
 
 (** The full joint law of [(X, Z)] for the Section 4.1 distribution:
     the [p_zero = 1/k] instance of {!mu_and_with_aux_p}. *)
 let mu_and_with_aux ~k = mu_and_with_aux_p ~k ~p_zero:(R.of_ints 1 k)
 
-(** Marginal law of the inputs alone. *)
-let mu_and ~k = D.map fst (mu_and_with_aux ~k)
+(** Marginal law of the inputs alone, from its closed form (an input
+    with [c] zeros has mass [(c/k) p^(c-1) (1-p)^(k-c)], [p = 1/k]), in
+    the order of [D.map fst (mu_and_with_aux ~k)]: by the position of the
+    first zero, then by input code. *)
+let mu_and ~k =
+  if k < 2 then invalid_arg "Hard_dist.mu_and: need k >= 2";
+  let p_zero = R.of_ints 1 k in
+  let weight = Array.init k (fun i -> and_mass ~k ~p_zero (i + 1)) in
+  (* Codes whose first zero is bit [f]: bits below [f] set, bit [f]
+     clear, the [k - 1 - f] bits above free. *)
+  let codes =
+    List.concat
+      (List.init k (fun f ->
+           List.init (1 lsl (k - 1 - f)) (fun h ->
+               let code = (h lsl (f + 1)) lor ((1 lsl f) - 1) in
+               (code, weight.(zeros ~k code - 1)))))
+  in
+  D.map_injective
+    (fun code -> Array.init k (fun i -> (code lsr i) land 1))
+    (D.of_weighted codes)
 
 (** [mu] conditioned on the input lying in the slice [X_c]; used to
     define [pi_2] and [pi_3], the transcript laws on two- and three-zero
@@ -91,18 +131,11 @@ let bit_domain = [| 0; 1 |]
     Hamming-weight classes; the test suite holds {!Prob.Symdist.to_dist}
     of this equal to {!mu_and}. *)
 let mu_and_orbit_p ~k ~p_zero =
-  if k < 2 then invalid_arg "Hard_dist.mu_and_orbit_p: need k >= 2";
-  if R.sign p_zero < 0 || R.compare p_zero R.one > 0 then
-    invalid_arg "Hard_dist.mu_and_orbit_p: p_zero out of range";
-  let p_one = R.sub R.one p_zero in
+  check_p ~fn:"mu_and_orbit_p" ~k p_zero;
   let classes =
     List.init k (fun i ->
         let c = i + 1 in
-        let w =
-          R.mul (R.of_ints c k)
-            (R.mul (R.pow p_zero (c - 1)) (R.pow p_one (k - c)))
-        in
-        ([| [| c; k - c |] |], w))
+        ([| [| c; k - c |] |], and_mass ~k ~p_zero c))
   in
   Prob.Symdist.of_classes ~domain:bit_domain ~blocks:(Array.make k 0) classes
 
@@ -115,9 +148,7 @@ let mu_and_orbit ~k = mu_and_orbit_p ~k ~p_zero:(R.of_ints 1 k)
     [{z}] and the rest. This is the shape {!Proto.Orbit.conditional_ic}
     consumes. *)
 let mu_and_aux_slices_p ~k ~p_zero =
-  if k < 2 then invalid_arg "Hard_dist.mu_and_aux_slices_p: need k >= 2";
-  if R.sign p_zero < 0 || R.compare p_zero R.one > 0 then
-    invalid_arg "Hard_dist.mu_and_aux_slices_p: p_zero out of range";
+  check_p ~fn:"mu_and_aux_slices_p" ~k p_zero;
   let p_one = R.sub R.one p_zero in
   List.init k (fun z ->
       let blocks = Array.init k (fun i -> if i = z then 0 else 1) in

@@ -146,7 +146,7 @@ let t_internal_rejects_k3 () =
 
 let t_restrictions_partition_probability () =
   let t = C.xor_output_with_coin (seq 2) in
-  let restrictions = Lowerbound.Yao.coin_restrictions t in
+  let restrictions = Yao.coin_restrictions t in
   let total = List.fold_left (fun acc (_, w) -> R.add acc w) R.zero restrictions in
   check_rational ~msg:"weights sum to 1" R.one total;
   List.iter
@@ -164,7 +164,7 @@ let t_error_mixture_exact () =
   let t = C.xor_output_with_coin (seq 2) in
   let mu = Protocols.Hard_dist.mu_and ~k:2 in
   let randomized, parts =
-    Lowerbound.Yao.error_mixture t ~f:Protocols.Hard_dist.and_fn mu
+    Yao.error_mixture t ~f:Protocols.Hard_dist.and_fn mu
   in
   let mixture =
     List.fold_left (fun acc (w, e) -> R.add acc (R.mul w e)) R.zero parts
@@ -175,7 +175,7 @@ let t_easy_direction () =
   let t = C.xor_output_with_coin (seq 3) in
   let mu = Protocols.Hard_dist.mu_and ~k:3 in
   let best, randomized =
-    Lowerbound.Yao.easy_direction t ~f:Protocols.Hard_dist.and_fn mu
+    Yao.easy_direction t ~f:Protocols.Hard_dist.and_fn mu
   in
   Alcotest.(check bool) "best deterministic <= randomized" true
     (R.compare best randomized <= 0);

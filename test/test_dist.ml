@@ -99,7 +99,7 @@ let t_exact_iid_mass () =
     (De.prob_of d [| 0; 0; 0; 0 |])
 
 let t_joint_ops () =
-  let module J = Prob.Joint.Float in
+  let module J = Joint.Float in
   let j =
     D.of_weighted [ ((0, 'a'), 0.25); ((0, 'b'), 0.25); ((1, 'a'), 0.5) ]
   in
@@ -112,7 +112,7 @@ let t_joint_ops () =
   Alcotest.(check bool) "product independent" true (J.independent indep)
 
 let t_kernel () =
-  let module J = Prob.Joint.Float in
+  let module J = Joint.Float in
   let j =
     J.of_kernel (D.bernoulli 0.5) (fun b ->
         if b then D.return 1 else D.uniform [ 0; 1 ])

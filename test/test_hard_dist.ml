@@ -50,7 +50,7 @@ let t_pairwise_independence_given_z () =
   let mu = H.mu_and_with_aux ~k in
   let cond = D.condition_exn mu (fun (_, z) -> z = 0) in
   let pair = D.map (fun (x, _) -> (x.(1), x.(2))) cond in
-  let module J = Prob.Joint.Exact_w in
+  let module J = Joint.Exact_w in
   Alcotest.(check bool) "independent" true (J.independent pair)
 
 let t_marginal_zero_probability () =

@@ -1,0 +1,323 @@
+(** Differential tests of the direct information measures and of the
+    Section-4.1 laws. [Proto.Information] computes IC, CIC and H(T) over
+    an int-coded joint table; here they are held bit-equal to the
+    formulas they replace — [Infotheory.Measures] over
+    [Semantics.joint]/[joint_with_aux] — and the per-round chain rule
+    to the prefix-hashtable formula it replaces, within 1e-12 per round
+    (it sums each round's terms in another order). The laws
+    [Hard_dist.mu_and_with_aux_p] and [Hard_dist.mu_and] are held equal,
+    item for item, to the constructions they replace. *)
+
+module T = Proto.Tree
+module Sem = Proto.Semantics
+module Info = Proto.Information
+module HD = Protocols.Hard_dist
+module AP = Protocols.And_protocols
+module D = Prob.Dist_exact
+module MD = Prob.Dist_core.Make (Prob.Weight.Exact)
+module M = Infotheory.Measures.Exact_w
+module R = Exact.Rational
+open Test_util
+
+(* ------------------------------------------------------------------ *)
+(* The replaced formulas.                                              *)
+(* ------------------------------------------------------------------ *)
+
+let ref_external_ic tree mu = M.mutual_information (Sem.joint tree mu)
+
+let ref_conditional_ic tree mu_xd =
+  M.conditional_mutual_information
+    (D.map (fun (x, d, t) -> (x, t, d)) (Sem.joint_with_aux tree mu_xd))
+
+let ref_transcript_entropy tree mu = M.entropy (Sem.transcript_law tree mu)
+
+(* Four prefix-keyed hashtables over the joint, summed in hashtable
+   order. *)
+let ref_per_round tree mu =
+  let joint = Sem.joint tree mu in
+  let bump tbl key w =
+    Hashtbl.replace tbl key
+      (R.add w (Option.value ~default:R.zero (Hashtbl.find_opt tbl key)))
+  in
+  let xp = Hashtbl.create 256 and p_ = Hashtbl.create 256
+  and pm = Hashtbl.create 256 and xpm = Hashtbl.create 256 in
+  List.iter
+    (fun ((x, t), w) ->
+      let rec go prefix_rev round = function
+        | [] -> ()
+        | (T.Coin _ as e) :: rest -> go (e :: prefix_rev) round rest
+        | (T.Msg _ as e) :: rest ->
+            bump xp (x, prefix_rev) w;
+            bump p_ prefix_rev w;
+            bump pm (prefix_rev, e) w;
+            let key = (x, prefix_rev, e) in
+            let _, acc =
+              Option.value ~default:(round, R.zero) (Hashtbl.find_opt xpm key)
+            in
+            Hashtbl.replace xpm key (round, R.add acc w);
+            go (e :: prefix_rev) (round + 1) rest
+      in
+      go [] 0 t)
+    (D.to_alist joint);
+  let max_round = Hashtbl.fold (fun _ (r, _) acc -> max r acc) xpm (-1) in
+  let out = Array.make (max_round + 1) 0. in
+  Hashtbl.iter
+    (fun (x, p, m) (round, w_xpm) ->
+      let w_p = Hashtbl.find p_ p
+      and w_xp = Hashtbl.find xp (x, p)
+      and w_pm = Hashtbl.find pm (p, m) in
+      out.(round) <-
+        out.(round)
+        +. R.to_float w_xpm
+           *. R.log2 (R.div (R.mul w_xpm w_p) (R.mul w_xp w_pm)))
+    xpm;
+  out
+
+(* The replaced law constructions: every input per special player, and
+   the marginal as a [D.map]. *)
+let ref_mu_and_with_aux_p ~k ~p_zero =
+  let p_one = R.sub R.one p_zero in
+  D.of_weighted
+    (List.concat_map
+       (fun z ->
+         List.filter_map
+           (fun x ->
+             if x.(z) <> 0 then None
+             else begin
+               let w = ref (R.of_ints 1 k) in
+               Array.iteri
+                 (fun i b ->
+                   if i <> z then
+                     w := R.mul !w (if b = 0 then p_zero else p_one))
+                 x;
+               Some ((x, z), !w)
+             end)
+           (Sem.all_bit_inputs k))
+       (List.init k Fun.id))
+
+let ref_mu_and ~k = D.map fst (ref_mu_and_with_aux_p ~k ~p_zero:(R.of_ints 1 k))
+
+(* ------------------------------------------------------------------ *)
+(* Trees and laws.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A law built behind [of_weighted]'s back: unnormalized mass, zero
+   weights and repeated values survive. *)
+let raw_dist pairs : 'a D.t = { MD.items = Array.of_list pairs; index = None }
+
+let p_zeros k = [ R.zero; R.of_ints 1 3; R.of_ints 1 k; R.half; R.one ]
+
+(* Input laws over [k] bits, by name. *)
+let input_laws k =
+  let all = Sem.all_bit_inputs k in
+  let x i = List.nth all (i mod List.length all) in
+  [ ("mu_and", HD.mu_and ~k); ("uniform product", D.uniform all) ]
+  @ List.map
+      (fun p ->
+        ( "marginal at p_zero " ^ R.to_string p,
+          D.map fst (HD.mu_and_with_aux_p ~k ~p_zero:p) ))
+      (p_zeros k)
+  @ [ ( "raw: mass 4/3, a zero weight, a repeat",
+        raw_dist
+          [ (x 1, R.of_ints 1 3); (x 2, R.zero); (x 0, R.of_ints 1 3);
+            (x 1, R.of_ints 1 6); (x 2, R.of_ints 1 6) ] );
+      ( "raw: mass 1/2, repeat first",
+        raw_dist
+          [ (x 3, R.of_ints 1 8); (x 3, R.of_ints 1 8); (x 0, R.of_ints 1 4) ]
+      ) ]
+
+(* Laws of (inputs, aux), by name. *)
+let aux_laws k =
+  let all = Sem.all_bit_inputs k in
+  let x i = List.nth all (i mod List.length all) in
+  [ ("mu_and_with_aux", HD.mu_and_with_aux ~k);
+    ( "uniform product, Z = x_0 + 2 x_1",
+      D.map (fun x -> (x, x.(0) + (2 * x.(1)))) (D.uniform all) );
+    ( "uniform product, Z a scrambled code",
+      D.map
+        (fun x ->
+          let code = Array.fold_right (fun b acc -> (2 * acc) + b) x 0 in
+          (x, ((code * 5) + 3) mod 8))
+        (D.uniform all) );
+    ( "mu_and_with_aux, Z a scrambled code",
+      D.map
+        (fun (x, _) ->
+          let code = Array.fold_right (fun b acc -> (2 * acc) + b) x 0 in
+          (x, ((code * 7) + 5) mod 6))
+        (HD.mu_and_with_aux ~k) );
+    ( "Z first appears in reverse order",
+      D.map_injective (fun (x, z) -> (x, k - 1 - z)) (HD.mu_and_with_aux ~k) )
+  ]
+  @ List.map
+      (fun p ->
+        ("aux at p_zero " ^ R.to_string p, HD.mu_and_with_aux_p ~k ~p_zero:p))
+      (p_zeros k)
+  @ [ ( "raw: mass 5/4, a zero weight, repeats",
+        raw_dist
+          [ ((x 1, 2), R.of_ints 1 4); ((x 2, 0), R.zero);
+            ((x 0, 2), R.of_ints 1 4); ((x 1, 2), R.of_ints 1 8);
+            ((x 1, 0), R.of_ints 3 8); ((x 3, 1), R.of_ints 1 4) ] ) ]
+
+(* Emit laws built behind the smart constructor's back: mass 5/6 with
+   a repeated symbol, and mass 1 with a zero weight and a repeat. The
+   transcript laws repeat transcripts, and the first is unnormalized. *)
+let raw_tree () =
+  let law b =
+    if b = 0 then
+      raw_dist [ (0, R.of_ints 1 3); (1, R.of_ints 1 3); (0, R.of_ints 1 6) ]
+    else raw_dist [ (1, R.half); (0, R.zero); (1, R.of_ints 1 4);
+                    (0, R.of_ints 1 4) ]
+  in
+  T.speak_unguarded ~speaker:0 ~emit:law
+    [| T.speak_unguarded ~speaker:1 ~emit:law [| T.output 0; T.output 1 |];
+       T.output 1 |]
+
+(* A tree from the seed: [Test_random_trees]' generator (chance nodes,
+   arities 2-3), one of the three AND families, or [raw_tree]. *)
+let tree_of_seed seed =
+  let rng = Prob.Rng.of_int_seed seed in
+  let k = 2 + Prob.Rng.int rng 3 in
+  match Prob.Rng.int rng 5 with
+  | 4 -> (Printf.sprintf "raw emit laws k=%d" k, k, raw_tree ())
+  | 0 ->
+      let depth = 2 + Prob.Rng.int rng 3 in
+      (Printf.sprintf "random tree k=%d depth=%d" k depth,
+       k, Test_random_trees.random_tree ~rng ~k ~depth)
+  | 1 -> (Printf.sprintf "sequential k=%d" k, k, AP.sequential k)
+  | 2 -> (Printf.sprintf "broadcast-all k=%d" k, k, AP.broadcast_all k)
+  | _ ->
+      let noise = if Prob.Rng.bool rng then R.of_ints 1 10 else R.of_ints 3 10 in
+      ( Printf.sprintf "noisy k=%d noise=%s" k (R.to_string noise),
+        k, AP.noisy_sequential ~k ~noise )
+
+let bit_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let fail_bits what name got want =
+  QCheck.Test.fail_reportf "%s on %s: got %h, want %h" what name got want
+
+(* ------------------------------------------------------------------ *)
+(* Properties.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let prop_measures_bit_equal =
+  qtest "IC, H(T), CIC bit-equal to Measures over the joint" ~count:60
+    QCheck.small_nat (fun seed ->
+      let tname, k, tree = tree_of_seed seed in
+      List.iter
+        (fun (lname, mu) ->
+          let name = tname ^ ", " ^ lname in
+          let memo = Sem.memo () in
+          let ic = Info.external_ic ~memo tree mu
+          and want = ref_external_ic tree mu in
+          if not (bit_equal ic want) then fail_bits "IC" name ic want;
+          let h = Info.transcript_entropy ~memo tree mu
+          and want = ref_transcript_entropy tree mu in
+          if not (bit_equal h want) then fail_bits "H(T)" name h want)
+        (input_laws k);
+      List.iter
+        (fun (lname, mu_xd) ->
+          let name = tname ^ ", " ^ lname in
+          let cic = Info.conditional_ic tree mu_xd
+          and want = ref_conditional_ic tree mu_xd in
+          if not (bit_equal cic want) then fail_bits "CIC" name cic want)
+        (aux_laws k);
+      true)
+
+let prop_per_round_close =
+  qtest "per-round terms within 1e-12 of the prefix-table formula"
+    ~count:60 QCheck.small_nat (fun seed ->
+      let tname, k, tree = tree_of_seed seed in
+      List.iter
+        (fun (lname, mu) ->
+          let name = tname ^ ", " ^ lname in
+          let got = Info.per_round_information tree mu
+          and want = ref_per_round tree mu in
+          if Array.length got <> Array.length want then
+            QCheck.Test.fail_reportf "%s: %d rounds, want %d" name
+              (Array.length got) (Array.length want);
+          Array.iteri
+            (fun j g ->
+              if Float.abs (g -. want.(j)) > 1e-12 then
+                QCheck.Test.fail_reportf "%s: round %d is %h, want %h" name j
+                  g want.(j))
+            got;
+          let ic = Info.external_ic tree mu in
+          let sum = Array.fold_left ( +. ) 0. got in
+          if Float.abs (sum -. ic) > 1e-9 then
+            QCheck.Test.fail_reportf "%s: rounds sum to %h, IC is %h" name sum
+              ic)
+        (input_laws k);
+      true)
+
+(* A fixed sweep next to the random ones: the AND families at k = 2..5
+   under every aux law. Among them, noisy AND_4 under the scrambled-code
+   law and noisy AND_5 under reversed Z change their last bit when the
+   values of Z are summed in order of value, not of first appearance. *)
+let t_cic_families () =
+  for k = 2 to 5 do
+    List.iter
+      (fun (tname, tree) ->
+        List.iter
+          (fun (lname, mu_xd) ->
+            let got = Info.conditional_ic tree mu_xd
+            and want = ref_conditional_ic tree mu_xd in
+            if not (bit_equal got want) then
+              Alcotest.failf "CIC on %s k=%d, %s: got %h, want %h" tname k
+                lname got want)
+          (aux_laws k))
+      [ ("sequential", AP.sequential k); ("broadcast-all", AP.broadcast_all k);
+        ("noisy 1/10", AP.noisy_sequential ~k ~noise:(R.of_ints 1 10));
+        ("noisy 3/10", AP.noisy_sequential ~k ~noise:(R.of_ints 3 10)) ]
+  done
+
+(* The laws are errors on the same inputs as before. *)
+let t_bad_laws () =
+  let tree = AP.sequential 2 in
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "IC, no positive mass" (fun () ->
+      Info.external_ic tree (raw_dist [ ([| 0; 1 |], R.zero) ]));
+  raises "CIC, no positive mass" (fun () ->
+      Info.conditional_ic tree (raw_dist [ (([| 0; 1 |], 0), R.zero) ]));
+  raises "per-round, negative mass" (fun () ->
+      Info.per_round_information tree (raw_dist [ ([| 1; 0 |], R.of_int (-1)) ]))
+
+let items d = D.to_alist d
+
+let check_same_law ~msg eq want got =
+  let want = items want and got = items got in
+  Alcotest.(check int) (msg ^ ": atoms") (List.length want) (List.length got);
+  List.iteri
+    (fun i ((v, w), (v', w')) ->
+      if not (eq v v') then Alcotest.failf "%s: atom %d differs" msg i;
+      if not (R.equal w w') then
+        Alcotest.failf "%s: atom %d weight %s, want %s" msg i (R.to_string w')
+          (R.to_string w))
+    (List.combine want got)
+
+let t_laws_equal () =
+  for k = 2 to 10 do
+    List.iter
+      (fun p_zero ->
+        check_same_law
+          ~msg:(Printf.sprintf "mu_and_with_aux_p k=%d p_zero=%s" k
+                  (R.to_string p_zero))
+          ( = )
+          (ref_mu_and_with_aux_p ~k ~p_zero)
+          (HD.mu_and_with_aux_p ~k ~p_zero))
+      (p_zeros k);
+    check_same_law ~msg:(Printf.sprintf "mu_and k=%d" k) ( = ) (ref_mu_and ~k)
+      (HD.mu_and ~k)
+  done
+
+let suite =
+  [
+    prop_measures_bit_equal;
+    prop_per_round_close;
+    quick "CIC bit-equal on the AND families, k = 2..5" t_cic_families;
+    quick "laws without positive mass are refused" t_bad_laws;
+    quick "Section-4.1 laws equal the per-player construction" t_laws_equal;
+  ]

@@ -23,6 +23,7 @@ let () =
       ("lowerbound", Test_lowerbound.suite);
       ("combinators", Test_combinators.suite);
       ("random-trees", Test_random_trees.suite);
+      ("information", Test_information.suite);
       ("symmetry", Test_symmetry.suite);
       ("compile", Test_compile.suite);
       ("analysis", Test_analysis.suite);

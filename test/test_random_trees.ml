@@ -120,7 +120,7 @@ let prop_yao_mixture =
       with_random_tree seed (fun tree ->
           let mu = Protocols.Hard_dist.mu_and ~k in
           let randomized, parts =
-            Lowerbound.Yao.error_mixture tree ~f:Protocols.Hard_dist.and_fn mu
+            Yao.error_mixture tree ~f:Protocols.Hard_dist.and_fn mu
           in
           let mixture =
             List.fold_left
