@@ -9,21 +9,47 @@
     the protocol (the E5 gap in action: one-shot compression does not
     pay). *)
 
-let series ~tree ~mu ~ic ~copies_list ~seeds =
+(* Mean per-copy bits over seeds 1..[seeds] at each copy count. *)
+let series ?(factored = false) ~tree ~mu ~copies_list ~seeds () =
   List.map
     (fun copies ->
       let per =
         List.init seeds (fun s ->
-            let run, _ =
-              Compress.Amortized.compress_random ~seed:(s + 1) ~tree ~mu ~copies ()
-            in
-            assert run.Compress.Amortized.agreed;
-            run.Compress.Amortized.per_copy_bits)
+            let seed = s + 1 in
+            if factored then
+              (fst
+                 (Compress.Amortized.compress_random_factored ~seed ~tree ~mu
+                    ~copies ()))
+                .Compress.Amortized.per_copy_bits
+            else begin
+              let run, _ =
+                Compress.Amortized.compress_random ~seed ~tree ~mu ~copies ()
+              in
+              assert run.Compress.Amortized.agreed;
+              run.Compress.Amortized.per_copy_bits
+            end)
       in
-      let avg = Exp_util.mean per in
-      Exp_util.
-        [ I copies; F2 avg; F2 ic; F2 (avg -. ic); F2 (avg /. ic) ])
+      (copies, Exp_util.mean per))
     copies_list
+
+(* Each row is also recorded, at full precision, under [name]. *)
+let record name ~ic rows =
+  Exp_util.record_rows name
+    (List.map
+       (fun (copies, avg) ->
+         Obs.Jsonw.
+           [ ("copies", Int copies); ("per_copy_bits", Float avg);
+             ("ic", Float ic); ("overhead", Float (avg -. ic)) ])
+       rows)
+
+let table name ~ic rows =
+  record name ~ic rows;
+  Exp_util.table
+    ~header:[ "copies n"; "per-copy bits"; "IC"; "overhead"; "ratio" ]
+    (List.map
+       (fun (copies, avg) ->
+         Exp_util.[ I copies; F2 avg; F2 ic; F2 (avg -. ic); F2 (avg /. ic) ])
+       rows)
 
 let run () =
   Exp_util.heading "E6"
@@ -35,9 +61,8 @@ let run () =
   Exp_util.note "protocol: sequential AND_%d, CC = %d bits, exact IC = %.4f bits" k
     (Proto.Tree.communication_cost tree)
     ic;
-  Exp_util.table
-    ~header:[ "copies n"; "per-copy bits"; "IC"; "overhead"; "ratio" ]
-    (series ~tree ~mu ~ic ~copies_list:[ 1; 2; 4; 8; 12; 16 ] ~seeds:8);
+  table "rows" ~ic
+    (series ~tree ~mu ~copies_list:[ 1; 2; 4; 8; 12; 16 ] ~seeds:8 ());
   Exp_util.note
     "Expected: overhead ~ r * O(log(n IC) + log 1/eps) / n -> 0; note copies=1 costs";
   Exp_util.note
@@ -51,9 +76,8 @@ let run () =
   let mu = Protocols.Hard_dist.mu_and ~k in
   let ic = Proto.Information.external_ic tree mu in
   Exp_util.note "exact IC = %.4f bits (below the deterministic variant: noise hides input)" ic;
-  Exp_util.table
-    ~header:[ "copies n"; "per-copy bits"; "IC"; "overhead"; "ratio" ]
-    (series ~tree ~mu ~ic ~copies_list:[ 1; 2; 4; 8; 16 ] ~seeds:8);
+  table "noisy_rows" ~ic
+    (series ~tree ~mu ~copies_list:[ 1; 2; 4; 8; 16 ] ~seeds:8 ());
 
   Exp_util.heading "E6c"
     "Theorem 3 at scale: the analytic (factored) simulator up to 512 copies";
@@ -62,37 +86,26 @@ let run () =
   let mu = Protocols.Hard_dist.mu_and ~k in
   let ic = Proto.Information.external_ic tree mu in
   (* cross-check the two simulators where both run *)
-  let literal_16 =
-    Exp_util.mean
-      (List.init 8 (fun s ->
-           let run, _ =
-             Compress.Amortized.compress_random ~seed:(s + 1) ~tree ~mu
-               ~copies:16 ()
-           in
-           run.Compress.Amortized.per_copy_bits))
+  let at_16 factored =
+    snd (List.hd (series ~factored ~tree ~mu ~copies_list:[ 16 ] ~seeds:8 ()))
   in
-  let factored copies seeds =
-    Exp_util.mean
-      (List.init seeds (fun s ->
-           let run, _ =
-             Compress.Amortized.compress_random_factored ~seed:(s + 1) ~tree
-               ~mu ~copies ()
-           in
-           run.Compress.Amortized.per_copy_bits))
-  in
+  let literal_16 = at_16 false and factored_16 = at_16 true in
+  Exp_util.record_f "literal_16" literal_16;
+  Exp_util.record_f "factored_16" factored_16;
   Exp_util.note
     "cross-check at 16 copies: literal %.2f vs factored %.2f bits/copy"
-    literal_16 (factored 16 8);
+    literal_16 factored_16;
   let rows =
-    List.map
-      (fun copies ->
-        let avg = factored copies 6 in
-        Exp_util.[ I copies; F2 avg; F2 ic; F2 (avg -. ic) ])
-      [ 16; 32; 64; 128; 256; 512 ]
+    series ~factored:true ~tree ~mu
+      ~copies_list:[ 16; 32; 64; 128; 256; 512 ]
+      ~seeds:6 ()
   in
+  record "factored_rows" ~ic rows;
   Exp_util.table
     ~header:[ "copies n"; "per-copy bits (analytic)"; "IC"; "overhead" ]
-    rows;
+    (List.map
+       (fun (copies, avg) -> Exp_util.[ I copies; F2 avg; F2 ic; F2 (avg -. ic) ])
+       rows);
   Exp_util.note
     "Expected: the overhead column vanishes like r * O(log n)/n — the full";
   Exp_util.note "Theorem-3 limit, beyond the reach of the literal point process."

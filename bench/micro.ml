@@ -301,6 +301,58 @@ let direct_cic_words () =
      words per atom"
     k atoms words
 
+(* Allocation guards for the Theorem-3 compressors, on sequential AND_4
+   under its Section-4.1 law. (a) Minor words of literal
+   [compress_parallel] runs at 16 copies, seeds 1-4, per point of their
+   2^16-symbol first transmissions: a block in two flat columns and the
+   product laws expanded in place leave about the boxed height each
+   [Rng.float] returns, drawn by the speaker and again by the decoder;
+   boxed (symbol, height) points and a digit array per product code
+   read ~112. (b) Minor words per copy of one 1,024-copy factored run
+   at seed 1: copies with equal transcripts share one observer state;
+   a state per copy, with its exact-rational prior mixed twice a round,
+   read ~2,400. *)
+let compress_words () =
+  let k = 4 in
+  let tree = Protocols.And_protocols.sequential k in
+  let mu = Protocols.Hard_dist.mu_and ~k in
+  let words f =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  let seeds = [ 1; 2; 3; 4 ] in
+  let runs =
+    List.map
+      (fun seed ->
+        let inputs = Compress.Amortized.draw_inputs ~seed ~mu ~copies:16 in
+        fun () -> Compress.Amortized.compress_parallel ~seed ~tree ~mu ~inputs ())
+      seeds
+  in
+  let literal =
+    List.fold_left (fun acc run -> acc +. words run) 0. runs
+    /. float_of_int (List.length seeds * (1 lsl 16))
+  in
+  let copies = 1024 in
+  let inputs = Compress.Amortized.draw_inputs ~seed:1 ~mu ~copies in
+  let factored =
+    words (fun () ->
+        Compress.Amortized.compress_parallel_factored ~seed:1 ~tree ~mu ~inputs
+          ())
+    /. float_of_int copies
+  in
+  assert (literal < 40.0 && factored < 800.0);
+  Exp_util.record_f "literal_words_per_point" literal;
+  Exp_util.record_f "factored_words_per_copy" factored;
+  Exp_util.note
+    "compress_parallel, sequential AND_%d, 16 copies, seeds 1-4: %.1f minor \
+     words per point of 4 x 2^16"
+    k literal;
+  Exp_util.note
+    "compress_parallel_factored, sequential AND_%d, %d copies, seed 1: %.0f \
+     minor words per copy"
+    k copies factored
+
 (* Regression guard for exact division by the gcd in
    [Rational.canonical]: on a 6-limb multiple of a 3-limb divisor, the
    Jebelean kernel behind [Bigint.div_exact] must beat the
@@ -539,6 +591,7 @@ let run () =
   orbit_ic_regression ();
   orbit_cic_states ();
   direct_cic_words ();
+  compress_words ();
   exact_div_regression ();
   compile_scaling_regression ();
   sim_alloc_regression ();

@@ -52,6 +52,11 @@ let with_metrics enabled f =
         r)
   end
 
+(* A bad option value is a usage error: one line on stderr and exit 2,
+   not an uncaught exception, an assertion or a meaningless answer. *)
+let usage cmd fmt =
+  Printf.ksprintf (fun msg -> Printf.eprintf "%s: %s\n" cmd msg; exit 2) fmt
+
 (* The registry entries named on a [cmd] command line, all of them when
    none is named; an unknown name is a usage error (exit 2). *)
 let resolve_entries cmd names =
@@ -64,34 +69,31 @@ let resolve_entries cmd names =
           match Reg.find n with
           | Some e -> e
           | None ->
-              Printf.eprintf "%s: unknown protocol %S; known: %s\n" cmd n
-                (String.concat ", " (Reg.names ()));
-              exit 2)
+              usage cmd "unknown protocol %S; known: %s" n
+                (String.concat ", " (Reg.names ())))
         names
 
 (* The analyzers' node budget (lint, analyze, verify): a non-positive
-   one is a usage error (exit 2), not an uncaught Invalid_argument or a
-   budget every entry is over. *)
+   one would put every entry over budget. *)
 let check_budget cmd = function
-  | Some b when b < 1 ->
-      Printf.eprintf "%s: --budget must be positive, got %d\n" cmd b;
-      exit 2
+  | Some b when b < 1 -> usage cmd "--budget must be positive, got %d" b
   | Some _ | None -> ()
 
+let check_at_least cmd name lo v =
+  if v < lo then usage cmd "%s must be at least %d, got %d" name lo v
+
 (* [info] and [compress] build the Section-4.1 law, which needs at least
-   two players, and a noise rate outside [0, 1/2) makes no noisy AND:
-   each is a usage error (exit 2), not an uncaught Invalid_argument. *)
-let check_players cmd k =
-  if k < 2 then begin
-    Printf.eprintf "%s: -k must be at least 2, got %d\n" cmd k;
-    exit 2
-  end
+   two players, and a noise rate outside [0, 1/2) makes no noisy AND. *)
+let check_players cmd k = check_at_least cmd "-k" 2 k
 
 let check_noise cmd noise =
-  if not (Float.is_finite noise && noise >= 0. && noise < 0.5) then begin
-    Printf.eprintf "%s: --noise must be in [0, 1/2), got %g\n" cmd noise;
-    exit 2
-  end
+  if not (Float.is_finite noise && noise >= 0. && noise < 0.5) then
+    usage cmd "--noise must be in [0, 1/2), got %g" noise
+
+(* The Lemma-7 failure budget (compress, sample). *)
+let check_eps cmd eps =
+  if not (Float.is_finite eps && eps > 0. && eps < 1.) then
+    usage cmd "--eps must be in (0, 1), got %g" eps
 
 (* A command's last step: exit with its status unless that is 0. *)
 let finish code = if code <> 0 then exit code
@@ -278,6 +280,12 @@ let info_cmd =
 let compress_cmd =
   let run k copies seed eps metrics =
     check_players "compress" k;
+    (* AND's messages are binary, so a literal round's universe is
+       2^copies. *)
+    if copies < 1 || copies > Compress.Amortized.max_log_u then
+      usage "compress" "--copies must be in 1..%d, got %d"
+        Compress.Amortized.max_log_u copies;
+    check_eps "compress" eps;
     with_metrics metrics (fun () ->
         let tree = Protocols.And_protocols.sequential k in
         let mu = Protocols.Hard_dist.mu_and ~k in
@@ -313,6 +321,11 @@ let compress_cmd =
 
 let sample_cmd =
   let run u p0 eps trials metrics =
+    check_at_least "sample" "-u" 2 u;
+    if not (p0 >= 0. && p0 <= 1.) then
+      usage "sample" "--p0 must be in [0, 1], got %g" p0;
+    check_eps "sample" eps;
+    check_at_least "sample" "--trials" 1 trials;
     with_metrics metrics (fun () ->
         let rest = (1. -. p0) /. float_of_int (u - 1) in
         let eta = Array.init u (fun i -> if i = 0 then p0 else rest) in
@@ -579,32 +592,19 @@ let run_protocol_cmd =
     let faults =
       match Netsim.Fault.parse faults with
       | Ok p -> p
-      | Error e ->
-          Printf.eprintf "run: %s\n" e;
-          exit 2
+      | Error e -> usage "run" "%s" e
     in
     (match Netsim.Fault.check faults ~k:(Reg.players entry) with
     | Ok () -> ()
-    | Error e ->
-        Printf.eprintf "run: --faults %s for %s\n" e name;
-        exit 2);
-    if check && faults <> Netsim.Fault.none then begin
-      Printf.eprintf
-        "run: --check compares the fault-free emulation; drop --faults\n";
-      exit 2
-    end;
-    if pipeline && runtime <> `Async then begin
-      Printf.eprintf "run: --pipeline requires --runtime async\n";
-      exit 2
-    end;
-    if faults <> Netsim.Fault.none && runtime <> `Async then begin
-      Printf.eprintf "run: --faults requires --runtime async\n";
-      exit 2
-    end;
-    if engine = `Compiled && runtime = `Async then begin
-      Printf.eprintf "run: --engine compiled requires --runtime sync\n";
-      exit 2
-    end;
+    | Error e -> usage "run" "--faults %s for %s" e name);
+    if check && faults <> Netsim.Fault.none then
+      usage "run" "--check compares the fault-free emulation; drop --faults";
+    if pipeline && runtime <> `Async then
+      usage "run" "--pipeline requires --runtime async";
+    if faults <> Netsim.Fault.none && runtime <> `Async then
+      usage "run" "--faults requires --runtime async";
+    if engine = `Compiled && runtime = `Async then
+      usage "run" "--engine compiled requires --runtime sync";
     (* The pipelining certificate, when the slot-dependency analysis can
        grant one; without it the emulation runs one slot per wave (a
        warning, not an error — the analysis declining is a legitimate
@@ -674,8 +674,7 @@ let run_protocol_cmd =
           ~max_writes ?cert ~config ()
       with
       | Error (Emu.Insufficient_honest _ as e) ->
-          Printf.eprintf "run: %s\n" (Emu.error_message e);
-          exit 2
+          usage "run" "%s" (Emu.error_message e)
       | Error (Emu.Engine_error _ as e) ->
           Printf.eprintf "run: %s\n" (Emu.error_message e);
           exit 3
@@ -1118,9 +1117,7 @@ let verify_cmd =
       | Some path -> (
           match V.load_baseline path with
           | Ok b -> b
-          | Error e ->
-              Printf.eprintf "verify: cannot load baseline: %s\n" e;
-              exit 2)
+          | Error e -> usage "verify" "cannot load baseline: %s" e)
     in
     let results =
       with_metrics metrics (fun () ->

@@ -42,11 +42,6 @@ let divergence_bits eta nu =
     eta;
   !d
 
-let mixed_radix_encode arities values =
-  let code = ref 0 in
-  Array.iteri (fun i v -> code := (!code * arities.(i)) + v) values;
-  !code
-
 let mixed_radix_decode arities code =
   let n = Array.length arities in
   let values = Array.make n 0 in
@@ -56,6 +51,13 @@ let mixed_radix_decode arities code =
     c := !c / arities.(i)
   done;
   values
+
+(* The coin a uniform [x] picks from [law] by inverse CDF (0 when
+   rounding leaves [x] past the last mass). *)
+let rec pick_coin law x i =
+  if i = Array.length law then 0
+  else if x < law.(i) then i
+  else pick_coin law (x -. law.(i)) (i + 1)
 
 (* The Theorem-3 round loop: every round, settle public coins, group
    the active copies by speaker, and transmit each group jointly.
@@ -70,7 +72,8 @@ let run_rounds ~what ~seed ~tree ~mu ~inputs transmit =
   if copies = 0 then invalid_arg what;
   let public = Blackboard.Runtime.public_rng ~seed in
   let writer = Coding.Bitbuf.Writer.create () in
-  let observers = Array.map (fun _ -> Observer.create tree mu) inputs in
+  (* One root: copies with equal transcripts share a state (Observer). *)
+  let observers = Array.make copies (Observer.create tree mu) in
   let rounds = ref 0 in
   let transmissions = ref 0 in
   let aborted = ref 0 in
@@ -87,19 +90,8 @@ let run_rounds ~what ~seed ~tree ~mu ~inputs transmit =
           match Observer.chance_view o with
           | Some law ->
               let coin_rng = Prob.Rng.split public in
-              let x = ref (Prob.Rng.float coin_rng) in
-              let pick = ref 0 in
-              (try
-                 Array.iteri
-                   (fun i p ->
-                     if !x < p then begin
-                       pick := i;
-                       raise Exit
-                     end
-                     else x := !x -. p)
-                   law
-               with Exit -> ());
-              observers.(c) <- Observer.advance_coin o !pick;
+              let coin = pick_coin law (Prob.Rng.float coin_rng) 0 in
+              observers.(c) <- Observer.advance_coin o coin;
               changed := true
           | None -> ())
         observers
@@ -181,6 +173,27 @@ let run_rounds ~what ~seed ~tree ~mu ~inputs transmit =
     agreed = !agreed;
   }
 
+(* The product law of a group, expanded in place one factor at a time,
+   the first most significant: entry [j] becomes [j*a .. j*a + a - 1],
+   all at or past [j], so a descending sweep reads it first. Each entry
+   ends as [((1 * f_0(v_0)) * ...) * f_n(v_n)] over its mixed-radix
+   digits, the products of decoding each code in their order. *)
+let product_law u factors =
+  let law = Array.make u 1. and len = ref 1 in
+  if u > 0 then
+    Array.iter
+      (fun f ->
+        let a = Array.length f in
+        for j = !len - 1 downto 0 do
+          let p = law.(j) in
+          for v = a - 1 downto 0 do
+            law.((j * a) + v) <- p *. f.(v)
+          done
+        done;
+        len := !len * a)
+      factors;
+  law
+
 (** [compress_parallel ~seed ~tree ~mu ~inputs ()] runs the compressed
     [n]-fold protocol on the given per-copy inputs (each an array of
     per-player inputs): each group is one {!Point_sampler} invocation
@@ -200,19 +213,7 @@ let compress_parallel ?(eps = 0.01) ~seed ~tree ~mu ~inputs () =
           "Amortized.compress_parallel: product universe too large \
            (reduce copies)";
       let u = Array.fold_left (fun acc a -> acc * a) 1 arities in
-      (* Product eta and nu over the group's joint message. *)
-      let eta = Array.make u 0. and nu = Array.make u 0. in
-      for code = 0 to u - 1 do
-        let values = mixed_radix_decode arities code in
-        let pe = ref 1. and pn = ref 1. in
-        Array.iteri
-          (fun gi v ->
-            pe := !pe *. etas.(gi).(v);
-            pn := !pn *. nus.(gi).(v))
-          values;
-        eta.(code) <- !pe;
-        nu.(code) <- !pn
-      done;
+      let eta = product_law u etas and nu = product_law u nus in
       if traced then
         Obs.Trace.emit
           (Obs.Event.Sampler_budget

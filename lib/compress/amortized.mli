@@ -14,7 +14,10 @@
     universe capped at [2^20], so a few dozen binary-message copies);
     the {e factored} one ({!Factored_sampler}) samples the communicated
     values from their closed-form laws and scales to hundreds of
-    copies. They agree at sizes where both run (a test). *)
+    copies. They agree at sizes where both run (a test). Copies with
+    equal transcripts share one observer state ({!Observer}); the
+    literal sampler builds each product law in place, and an honest
+    decoder still replays the point stream of each transmission. *)
 
 type run = {
   copies : int;
@@ -30,7 +33,6 @@ type run = {
 val max_log_u : int
 (** Cap on [log2] of a literal transmission's product universe. *)
 
-val mixed_radix_encode : int array -> int array -> int
 val mixed_radix_decode : int array -> int -> int array
 
 val compress_parallel :

@@ -14,15 +14,15 @@
       is [1 - (1 - 1/u)^u] (about [1 - 1/e] for huge [u]);
     - the number of other block points under the scaled prior [2^s nu]
       is [Binomial(u - 1, q)] with [q = E_unif min(1, 2^s nu(x'))] —
-      for huge [u] a Poisson with mean [lambda = u*q], which we estimate
-      by Monte-Carlo over product-uniform [x'] (computing [u * nu(x')]
-      in log-space as [prod_c a_c nu_c(x'_c)] so no astronomical numbers
-      appear).
+      for huge [u] a Poisson with mean [lambda = u*q], taken in closed
+      form as [2^min(s, log2 u)]: without the cap [sum_x' 2^s nu(x') =
+      2^s], since the product prior sums to 1.
 
     The resulting per-round bit cost has the same law as the literal
-    protocol's up to the Monte-Carlo error in [lambda]; the agreement of
-    the two simulators at small sizes is a unit test, and the large-copy
-    Theorem-3 experiment (E6c) is run on this one. *)
+    protocol's wherever the cap at 1 shaves no mass (elsewhere it is a
+    slight overestimate); the agreement of the two simulators at small
+    sizes is a unit test, and the large-copy Theorem-3 experiment (E6c)
+    is run on this one. *)
 
 type result = {
   sent : int array;  (** per-copy message symbols, jointly [prod eta_c] *)
@@ -66,12 +66,12 @@ let poisson rng lambda =
     Stdlib.max 0 (int_of_float (Float.round (lambda +. (Float.sqrt lambda *. z))))
   end
 
-(** [transmit ~rng ~etas ~nus ?eps ?mc_samples writer] simulates one
+(** [transmit ~rng ~etas ~nus ?eps writer] simulates one
     joint transmission for copies with per-copy laws [etas.(c)] over
     arity [Array.length etas.(c)], against observer priors [nus.(c)].
     Writes the (simulated) bits into [writer] so the accounting matches
     the literal protocol's framing. *)
-let transmit ~rng ~etas ~nus ?(eps = 0.01) ?(mc_samples = 256) writer =
+let transmit ~rng ~etas ~nus ?(eps = 0.01) writer =
   let copies = Array.length etas in
   if copies = 0 || Array.length nus <> copies then
     invalid_arg "Factored_sampler.transmit";
@@ -133,11 +133,8 @@ let transmit ~rng ~etas ~nus ?(eps = 0.01) ?(mc_samples = 256) writer =
          prior nu sums to 1 over the product universe. The cap can only
          shave mass where nu(x') > 2^-s, so lambda = 2^min(s, log2 u) is
          an exact value in the typical regime and a slight overestimate
-         (hence a cost upper bound) in degenerate ones. A Monte-Carlo
-         estimate is hopeless here — the summand is lognormal with
-         enormous log-variance for many copies — which is why the closed
-         form is used. *)
-      ignore mc_samples;
+         (hence a cost upper bound) in degenerate ones. (Sampling the
+         summand is hopeless: it is lognormal with enormous variance.) *)
       let log2_lambda = Float.min log2_u (float_of_int s) in
       let rank_width =
         if log2_lambda > 20. then

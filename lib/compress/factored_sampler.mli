@@ -29,7 +29,6 @@ val transmit :
   etas:float array array ->
   nus:float array array ->
   ?eps:float ->
-  ?mc_samples:int ->
   Coding.Bitbuf.Writer.t ->
   result
 (** Simulate one joint transmission for copies with per-copy laws

@@ -10,24 +10,21 @@ module D = Prob.Dist_exact
 module R = Exact.Rational
 module T = Proto.Tree
 
+(* A state keeps the successors built so far, by message or coin, so
+   the states walked from one root form a trie keyed by transcript
+   (never by tree node: two transcripts can reach one shared node with
+   different posteriors). Its [speak_view] is computed at first use. *)
 type 'a t = {
   node : 'a T.t;  (** current position in the protocol tree *)
   weighted : ('a array * R.t) list;  (** unnormalized posterior over inputs *)
+  speak : (int * int * float array) option Lazy.t;
+  mutable next : (int * 'a t) list;  (** successors, by message or coin *)
 }
 
-let create tree mu = { node = tree; weighted = D.to_alist mu }
-
-let finished t = match t.node with T.Output _ -> true | _ -> false
-
-let output_exn t =
-  match t.node with
-  | T.Output { value = v; _ } -> v
-  | _ -> invalid_arg "Observer.output_exn: protocol still running"
-
-(** At a [Speak] node: the speaker index, the message arity, and the
-    observer's prior [nu] over the next message (normalized, float). *)
-let speak_view t =
-  match t.node with
+(* At a [Speak] node: the speaker index, the message arity, and the
+   observer's prior [nu] over the next message (normalized, float). *)
+let speak_of node weighted =
+  match node with
   | T.Speak { speaker; emit; children; _ } ->
       let arity = Array.length children in
       let mix = Array.make arity R.zero in
@@ -36,11 +33,24 @@ let speak_view t =
           List.iter
             (fun (m, p) -> mix.(m) <- R.add mix.(m) (R.mul w p))
             (D.to_alist (emit x.(speaker))))
-        t.weighted;
+        weighted;
       let mass = Array.fold_left R.add R.zero mix in
       let nu = Array.map (fun w -> R.to_float (R.div w mass)) mix in
       Some (speaker, arity, nu)
   | _ -> None
+
+let make node weighted =
+  { node; weighted; speak = lazy (speak_of node weighted); next = [] }
+
+let create tree mu = make tree (D.to_alist mu)
+let finished t = match t.node with T.Output _ -> true | _ -> false
+
+let output_exn t =
+  match t.node with
+  | T.Output { value = v; _ } -> v
+  | _ -> invalid_arg "Observer.output_exn: protocol still running"
+
+let speak_view t = Lazy.force t.speak
 
 (** The speaker's true law [eta] of the next message given its actual
     input (float vector over the arity). *)
@@ -55,19 +65,25 @@ let speaker_eta t input =
       eta
   | _ -> invalid_arg "Observer.speaker_eta: not at a Speak node"
 
+(* Records [s] as the successor on message or coin [i]. *)
+let remember t i s =
+  t.next <- (i, s) :: t.next;
+  s
+
 (** Advance past a [Speak] node on message [m], updating the posterior
     by the per-input emission likelihood. *)
 let advance_msg t m =
   match t.node with
   | T.Speak { speaker; emit; children; _ } ->
-      let weighted =
-        List.filter_map
-          (fun (x, w) ->
-            let p = D.prob_of (emit x.(speaker)) m in
-            if R.is_zero p then None else Some (x, R.mul w p))
-          t.weighted
-      in
-      { node = children.(m); weighted }
+      (try List.assoc m t.next
+       with Not_found ->
+         remember t m
+           (make children.(m)
+              (List.filter_map
+                 (fun (x, w) ->
+                   let p = D.prob_of (emit x.(speaker)) m in
+                   if R.is_zero p then None else Some (x, R.mul w p))
+                 t.weighted)))
   | _ -> invalid_arg "Observer.advance_msg: not at a Speak node"
 
 (** At a [Chance] node: the public-coin law as floats. *)
@@ -82,5 +98,7 @@ let chance_view t =
 
 let advance_coin t c =
   match t.node with
-  | T.Chance { children; _ } -> { t with node = children.(c) }
+  | T.Chance { children; _ } ->
+      (try List.assoc c t.next
+       with Not_found -> remember t c (make children.(c) t.weighted))
   | _ -> invalid_arg "Observer.advance_coin: not at a Chance node"

@@ -4,7 +4,10 @@
     from which the observer's next-message prior [nu] — the footnote-3
     prediction of Section 6 — is computed. The speaker's true law [eta]
     depends on its input; both are produced here so the compressor can
-    be driven round by round. *)
+    be driven round by round. States are shared, within one domain:
+    each builds its successor on a message or coin once, so the states
+    walked from one root form a trie keyed by transcript, and each
+    computes its [speak_view] once, at first use. *)
 
 type 'a t
 

@@ -13,11 +13,14 @@
     If no acceptance occurs within [max_blocks] blocks (probability
     about [e^-max_blocks] — the [eps]), the speaker writes the sample
     verbatim: agreement is then perfect and [eps] shows up only in the
-    cost, the variant convenient for experiments. *)
+    cost, the variant convenient for experiments.
+
+    A block lives in two flat columns, symbols and heights. {!decode}
+    shares nothing with {!transmit}: it replays every block from its own
+    copy of the round's stream and reads only the bits and [nu]. *)
 
 type result = {
   sent : int;  (** the speaker's sample, distributed per [eta] *)
-  received : int;  (** what the observers decoded *)
   bits : int;
   aborted : bool;  (** fallback path taken *)
   block : int;  (** block index written (0 on abort) *)

@@ -287,10 +287,12 @@ let t_amortized_deterministic_repro () =
   Alcotest.(check bool) "same inputs" true (i1 = i2)
 
 let t_mixed_radix () =
+  (* the first digit is the most significant *)
   let arities = [| 2; 3; 2 |] in
   for code = 0 to 11 do
-    let values = Am.mixed_radix_decode arities code in
-    Alcotest.(check int) "roundtrip" code (Am.mixed_radix_encode arities values)
+    Alcotest.(check (array int)) "digits"
+      [| code / 6; code / 2 mod 3; code mod 2 |]
+      (Am.mixed_radix_decode arities code)
   done
 
 let suite =

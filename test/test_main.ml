@@ -20,6 +20,7 @@ let () =
       ("pointwise-or", Test_pointwise_or.suite);
       ("compress", Test_compress.suite);
       ("factored-sampler", Test_factored.suite);
+      ("compress-diff", Test_compress_diff.suite);
       ("lowerbound", Test_lowerbound.suite);
       ("combinators", Test_combinators.suite);
       ("random-trees", Test_random_trees.suite);
