@@ -278,11 +278,29 @@ let orbit_cic_states () =
   Exp_util.note "orbit IC + CIC of sequential AND_%d on one memo: %d states" k
     states
 
+(* Allocation guard for the Section-4.1 slices: minor words per slice
+   of [Hard_dist.mu_and_aux_slices ~k:20]. Slice 0 enumerates its
+   classes and the other 19 relabel them, ~1,670 words per slice; an
+   [iid_blocks] enumeration per slice read 42,020. A deterministic
+   count. *)
+let aux_slices_words () =
+  let k = 20 in
+  let before = Gc.minor_words () in
+  let slices = Sys.opaque_identity (Protocols.Hard_dist.mu_and_aux_slices ~k) in
+  let words =
+    (Gc.minor_words () -. before) /. float_of_int (List.length slices)
+  in
+  assert (words < 21000.0);
+  Exp_util.record_f "aux_slices_words_per_slice" words;
+  Exp_util.note "mu_and_aux_slices ~k:%d: %.0f minor words per slice" k words
+
 (* Allocation guard for the direct engine's joint table: minor words
    per atom of [mu_and_with_aux ~k:9] (2,304 atoms) for one warm-memo
    [conditional_ic] of sequential AND_9. Over the int-coded table the
-   run reads ~95; conditioning the hashed joint once per value of Z,
-   with three hash-deduping [D.map]s per slice, read 456. *)
+   run reads ~73, with a root hit in the shared memo returning before
+   [transcript_dist] builds its per-call table (~94 without that);
+   conditioning the hashed joint once per value of Z, with three
+   hash-deduping [D.map]s per slice, read 456. *)
 let direct_cic_words () =
   let k = 9 in
   let tree = Protocols.And_protocols.sequential k in
@@ -590,6 +608,7 @@ let run () =
   bitvec_word_regression ();
   orbit_ic_regression ();
   orbit_cic_states ();
+  aux_slices_words ();
   direct_cic_words ();
   compress_words ();
   exact_div_regression ();

@@ -82,9 +82,26 @@ let check_budget cmd = function
 let check_at_least cmd name lo v =
   if v < lo then usage cmd "%s must be at least %d, got %d" name lo v
 
-(* [info] and [compress] build the Section-4.1 law, which needs at least
-   two players, and a noise rate outside [0, 1/2) makes no noisy AND. *)
-let check_players cmd k = check_at_least cmd "-k" 2 k
+(* [info] and [compress] build the Section-4.1 law over all 2^k inputs,
+   which needs at least two players and at most proto-lint's state
+   budget of inputs; a noise rate outside [0, 1/2) makes no noisy AND. *)
+let max_players =
+  let budget = Analysis.Rules.default_state_budget in
+  let rec go k = if 1 lsl (k + 1) > budget then k else go (k + 1) in
+  go 1
+
+let check_players cmd k =
+  check_at_least cmd "-k" 2 k;
+  if k > max_players then
+    usage cmd
+      "-k must be at most %d (2^k inputs within the state budget of %d), got %d"
+      max_players Analysis.Rules.default_state_budget k
+
+let players_doc =
+  Printf.sprintf
+    "Number of players, 2 to %d (the exact semantics enumerates all 2^k \
+     inputs)."
+    max_players
 
 let check_noise cmd noise =
   if not (Float.is_finite noise && noise >= 0. && noise < 0.5) then
@@ -257,7 +274,7 @@ let info_cmd =
       (String.concat "; "
          (Array.to_list (Array.map (Printf.sprintf "%.4f") rounds)))
   in
-  let k = Arg.(value & opt int 6 & info [ "k" ] ~doc:"Number of players (<= ~12).") in
+  let k = Arg.(value & opt int 6 & info [ "k" ] ~doc:players_doc) in
   let protocol =
     Arg.(value & opt (enum protocols) Sequential
          & info [ "p"; "protocol" ]
@@ -304,7 +321,7 @@ let compress_cmd =
           result.Compress.Amortized.transmissions
           result.Compress.Amortized.aborted result.Compress.Amortized.agreed)
   in
-  let k = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Players.") in
+  let k = Arg.(value & opt int 4 & info [ "k" ] ~doc:players_doc) in
   let copies =
     Arg.(value & opt int 8
          & info [ "copies" ] ~doc:"Parallel copies (product universe <= 2^20).")

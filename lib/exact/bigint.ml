@@ -110,13 +110,19 @@ let mul_mag_int a m =
     normalize r
   end
 
+(* Bit width of one limb [0 <= v < 2^30], by halving its range in five
+   steps. *)
+let limb_width v =
+  let rec go w v s =
+    if s = 0 then w + v
+    else if v >= 1 lsl s then go (w + s) (v lsr s) (s / 2)
+    else go w v (s / 2)
+  in
+  go 0 v 16
+
 let num_bits_mag a =
   let la = Array.length a in
-  if la = 0 then 0
-  else
-    let top = a.(la - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((la - 1) * base_bits) + width top 0
+  if la = 0 then 0 else ((la - 1) * base_bits) + limb_width a.(la - 1)
 
 let shift_left_mag a n =
   if mag_is_zero a || n = 0 then a
@@ -239,20 +245,25 @@ let make sign mag =
   let mag = normalize mag in
   if mag_is_zero mag then zero else { sign; mag }
 
+(* Limbs straight from the word: [max_int] is 2^62 - 1, three limbs at
+   most, and [min_int]'s magnitude 2^62 is the one value whose [abs]
+   overflows. *)
 let of_int n =
   if n = 0 then zero
+  else if n = Stdlib.min_int then { sign = -1; mag = [| 0; 0; 4 |] }
   else begin
-    let sign = if n < 0 then -1 else 1 in
-    (* Careful with min_int: abs would overflow, so peel limbs using
-       arithmetic that stays in range. *)
-    let rec limbs n acc =
-      if n = 0 then List.rev acc
-      else limbs (n / base) ((n mod base) :: acc)
-    in
-    let raw = limbs (Stdlib.abs (n / base)) [] in
-    let low = Stdlib.abs (n mod base) in
-    let mag = Array.of_list (low :: List.map Stdlib.abs raw) in
-    make sign mag
+    let sign = if n < 0 then -1 else 1 and m = Stdlib.abs n in
+    if m < base then { sign; mag = [| m |] }
+    else if m lsr base_bits < base then
+      { sign; mag = [| m land base_mask; m lsr base_bits |] }
+    else
+      {
+        sign;
+        mag =
+          [| m land base_mask;
+             (m lsr base_bits) land base_mask;
+             m lsr (2 * base_bits) |];
+      }
   end
 
 let one = of_int 1
@@ -335,10 +346,19 @@ let ctz_mag a =
 let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
 
 (* [to_int_opt] needs [num_bits]/[equal], which are defined below; the
-   magnitude check here is all gcd needs for its word-size fast path. *)
-let mag_fits_int mag = num_bits_mag mag <= 62
+   magnitude check here is all gcd and div_exact need for their
+   word-size paths. At most 62 bits, in O(1) on a normalized magnitude:
+   at most three limbs, and a third limb below 4. *)
+let mag_fits_int mag =
+  let l = Array.length mag in
+  l < 3 || (l = 3 && mag.(2) < 4)
 
-let mag_to_int mag = Array.fold_right (fun limb acc -> (acc * base) + limb) mag 0
+let mag_to_int mag =
+  let v = ref 0 in
+  for i = Array.length mag - 1 downto 0 do
+    v := (!v lsl base_bits) lor mag.(i)
+  done;
+  !v
 
 let num_bits x = num_bits_mag x.mag
 let testbit x i = testbit_mag x.mag i
@@ -785,6 +805,13 @@ let acc_mag (x : Acc.acc) =
 let div_exact a d =
   if d.sign = 0 then raise Division_by_zero;
   if a.sign = 0 then zero
+  else if mag_fits_int a.mag && mag_fits_int d.mag then begin
+    (* word-size operands divide natively *)
+    let x = mag_to_int a.mag and y = mag_to_int d.mag in
+    let q = x / y in
+    if q * y <> x then invalid_arg "Bigint.div_exact: not divisible";
+    of_int (a.sign * d.sign * q)
+  end
   else begin
     (* The power of two in [d] comes out as a shift, the odd part by
        the Jebelean kernel: one multiply pass per quotient limb. *)
@@ -798,20 +825,33 @@ let div_exact a d =
     make (a.sign * d.sign) (acc_mag q)
   end
 
-(* [mag_fits_int] in O(1): at most 62 bits. *)
+(* [mag_fits_int] on an accumulator. *)
 let acc_fits_int (x : Acc.acc) = x.len < 3 || (x.len = 3 && x.mag.(2) < 4)
+
+(* [a mod d] for a one-limb [d]: one pass over [a]'s limbs, high to
+   low, without building the quotient. *)
+let rem_mag_small a d =
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl base_bits) lor a.(i)) mod d
+  done;
+  !r
 
 (* Binary (Stein) GCD. Euclid over [div_mod] would peel one quotient
    bit per iteration on multi-limb operands; here every iteration is
    one subtract and one trailing-zero shift, both in place on two
    accumulators, so no step allocates. Word-size operands drop to
-   native-int Euclid, on entry and as soon as the loop reaches them. *)
+   native-int Euclid, on entry and as soon as the loop reaches them;
+   so does a one-limb operand, after one remainder pass over the other
+   (where Stein would take a step per bit of the longer one). *)
 let gcd a b =
   let a = a.mag and b = b.mag in
   if mag_is_zero a then make 1 b
   else if mag_is_zero b then make 1 a
   else if mag_fits_int a && mag_fits_int b then
     of_int (int_gcd (mag_to_int a) (mag_to_int b))
+  else if Array.length b = 1 then of_int (int_gcd b.(0) (rem_mag_small a b.(0)))
+  else if Array.length a = 1 then of_int (int_gcd a.(0) (rem_mag_small b a.(0)))
   else begin
     let za = ctz_mag a and zb = ctz_mag b in
     let x = acc_of_mag a and y = acc_of_mag b in
@@ -834,6 +874,10 @@ let gcd a b =
     in
     make 1 (shift_left_mag (loop x y) (Stdlib.min za zb))
   end
+
+let gcd_int x m =
+  if m <= 0 || m >= base then invalid_arg "Bigint.gcd_int: range";
+  int_gcd m (rem_mag_small x.mag m)
 
 let binomial_acc n k =
   (* Same iteration as {!binomial}, on an in-place accumulator: two

@@ -82,9 +82,15 @@ val gcd : t -> t -> t
 (** Greatest common divisor of the absolute values; [gcd zero zero = zero].
     Binary (Stein) GCD run in place on two {!Acc} buffers (a subtract
     and a trailing-zero shift per step, no allocation per step), with a
-    native-int Euclid exit once both operands fit a word; differentially
-    tested against the reference Euclid implementation in
-    {!For_testing}. *)
+    native-int Euclid exit once both operands fit a word, or at once
+    after one remainder pass when either is a single limb;
+    differentially tested against the reference Euclid implementation
+    in {!For_testing}. *)
+
+val gcd_int : t -> int -> int
+(** [gcd_int x m] is [gcd (|x|, m)] for a one-limb [m]: one remainder
+    pass over [x], then native-int Euclid.
+    @raise Invalid_argument unless [0 < m < 2^30]. *)
 
 (** {1 Number-theoretic helpers} *)
 

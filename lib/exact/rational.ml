@@ -154,29 +154,69 @@ let inv = function
         B { num = Bigint.neg den; den = Bigint.neg num }
       else B { num = den; den = num }
 
+(* [x / g] for a [g] known to divide [x]; most cross gcds are one. *)
+let div_by x g = if Bigint.equal g Bigint.one then x else Bigint.div_exact x g
+let div_by_int x g = if g = 1 then x else Bigint.div_exact x (Bigint.of_int g)
+
+(* Sums and products with a bigint operand reduce before they multiply
+   (Henrici), so no result needs a gcd over a full product; a small
+   operand stays in native ints, and its gcds take one pass over the
+   bigint. *)
 let add a b =
   match (a, b) with
   | S a, S b ->
       (* cross products < 2^60 each, sum < 2^61: no overflow *)
       make_reduced ((a.n * b.d) + (b.n * a.d)) (a.d * b.d)
-  | _ ->
-      canonical
-        (Bigint.add (Bigint.mul (num a) (den b)) (Bigint.mul (num b) (den a)))
-        (Bigint.mul (den a) (den b))
+  | S { n = 0; _ }, x | x, S { n = 0; _ } -> x
+  | B { num; den }, S { n; d } | S { n; d }, B { num; den } ->
+      (* the [B, B] case below with a one-limb denominator [d] *)
+      let g = Bigint.gcd_int den d in
+      let den' = div_by_int den g in
+      let t = Bigint.add (Bigint.mul_int num (d / g)) (Bigint.mul_int den' n) in
+      if Bigint.is_zero t then zero
+      else if g = 1 then demote t (Bigint.mul_int den d)
+      else
+        let g2 = Bigint.gcd_int t g in
+        demote (div_by_int t g2) (Bigint.mul_int den' (d / g2))
+  | B a, B b ->
+      (* With g = gcd (ad, bd), the sum is t / ((ad/g) bd) for
+         t = an (bd/g) + bn (ad/g), and t is coprime to ad/g and bd/g:
+         only gcd (t, g) can be left to cancel. *)
+      let g = Bigint.gcd a.den b.den in
+      let ad' = div_by a.den g in
+      let t =
+        Bigint.add (Bigint.mul a.num (div_by b.den g)) (Bigint.mul b.num ad')
+      in
+      if Bigint.is_zero t then zero
+      else if Bigint.equal g Bigint.one then demote t (Bigint.mul a.den b.den)
+      else
+        let g2 = Bigint.gcd t g in
+        demote (div_by t g2) (Bigint.mul ad' (div_by b.den g2))
 
 let sub a b = add a (neg b)
 
+(* Each numerator cancels against the other denominator first, which
+   leaves the two products coprime. *)
 let mul a b =
   match (a, b) with
   | S { n = 0; _ }, _ | _, S { n = 0; _ } -> zero
   | S a, S b ->
-      (* cross-reduce first so the products are already coprime *)
       let g1 = int_gcd (if a.n < 0 then -a.n else a.n) b.d in
       let g2 = int_gcd (if b.n < 0 then -b.n else b.n) a.d in
       let n = a.n / g1 * (b.n / g2) and d = a.d / g2 * (b.d / g1) in
       if n >= -small_max && n <= small_max && d <= small_max then S { n; d }
       else B { num = Bigint.of_int n; den = Bigint.of_int d }
-  | _ -> canonical (Bigint.mul (num a) (num b)) (Bigint.mul (den a) (den b))
+  | S { n; d }, B { num; den } | B { num; den }, S { n; d } ->
+      let g1 = Bigint.gcd_int den (Stdlib.abs n)
+      and g2 = Bigint.gcd_int num d in
+      demote
+        (Bigint.mul_int (div_by_int num g2) (n / g1))
+        (Bigint.mul_int (div_by_int den g1) (d / g2))
+  | B a, B b ->
+      let g1 = Bigint.gcd a.num b.den and g2 = Bigint.gcd b.num a.den in
+      demote
+        (Bigint.mul (div_by a.num g1) (div_by b.num g2))
+        (Bigint.mul (div_by a.den g2) (div_by b.den g1))
 
 let div a b = mul a (inv b)
 
@@ -234,6 +274,23 @@ module For_testing = struct
   let force_big = function
     | S { n; d } -> B { num = Bigint.of_int n; den = Bigint.of_int d }
     | B _ as x -> x
+
+  (* The canonical forms of the full products, reduced afterwards. *)
+  let add_ref a b =
+    match (a, b) with
+    | S a, S b -> make_reduced ((a.n * b.d) + (b.n * a.d)) (a.d * b.d)
+    | _ ->
+        canonical
+          (Bigint.add (Bigint.mul (num a) (den b)) (Bigint.mul (num b) (den a)))
+          (Bigint.mul (den a) (den b))
+
+  let mul_ref a b =
+    match (a, b) with
+    | S { n = 0; _ }, _ | _, S { n = 0; _ } -> zero
+    | S _, S _ -> mul a b
+    | _ -> canonical (Bigint.mul (num a) (num b)) (Bigint.mul (den a) (den b))
+
+  let div_ref a b = mul_ref a (inv b)
 end
 
 module Infix = struct

@@ -13,7 +13,9 @@
     representations are canonical (positive denominator, reduced,
     small-word whenever it fits), so exactness and equality semantics
     are unchanged — the fast path is an invisible optimization,
-    differentially tested against the bigint path. *)
+    differentially tested against the bigint path. Products and sums
+    with a bigint operand cancel common factors before they multiply
+    (Henrici), so they never reduce a full product. *)
 
 type t
 
@@ -96,6 +98,13 @@ module For_testing : sig
   (** Same value on the bigint representation, violating canonicity:
       [equal] against the small form returns false (use {!compare} for
       value equality); any arithmetic re-canonicalizes the result. *)
+
+  val add_ref : t -> t -> t
+  val mul_ref : t -> t -> t
+  val div_ref : t -> t -> t
+  (** Reference {!add}, {!mul} and {!div}: a bigint operand multiplies
+      out the full products and reduces them by one gcd, where the
+      library cancels common factors before it multiplies. *)
 end
 
 module Infix : sig

@@ -213,6 +213,14 @@ let iid_blocks ~domain ~blocks weights =
   in
   of_classes ~domain ~blocks classes
 
+(** The same class weights over another assignment of players to
+    blocks with the same block sizes: the law of [t] with its players
+    permuted. Shares [t]'s classes and its read-only mass table. *)
+let relabel t ~blocks =
+  if block_sizes_of blocks <> t.block_sizes then
+    invalid_arg "Symdist.relabel: block sizes differ";
+  { t with blocks }
+
 let uniform ~domain ~blocks =
   let n = Array.length domain in
   let n_blocks = Array.length (block_sizes_of blocks) in

@@ -68,6 +68,14 @@ val iid_blocks :
     [weights.(b).(v)] is the probability a block-[b] player holds
     [domain.(v)]. *)
 
+val relabel : 'a t -> blocks:int array -> 'a t
+(** [relabel t ~blocks] is [t]'s class weights over another
+    player-to-block assignment: the law of [t] with its players
+    permuted. It shares [t]'s classes and mass table, so it costs no
+    class enumeration.
+    @raise Invalid_argument unless [blocks] gives every block of [t]
+    its size in [t]. *)
+
 val uniform : domain:'a array -> blocks:int array -> 'a t
 (** Uniform iid over the domain. *)
 

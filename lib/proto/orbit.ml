@@ -267,7 +267,8 @@ let state_key m node law blocks n_blocks gids =
 (* Cells at a leaf: group players by (block, gid); every choice of one
    value composition per group is a cell. All members of a cell share
    the g product and (by block exchangeability) the mu mass, and their
-   number is the product of per-group multinomials. *)
+   number is the product of per-group multinomials. Each cell comes
+   with its g product. *)
 let leaf_cells m sym blocks n_blocks n_values gids =
   let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
@@ -287,7 +288,8 @@ let leaf_cells m sym blocks n_blocks n_values gids =
         let mass = S.mass_of_comp sym comp in
         if not (R.is_zero mass) then
           cells :=
-            { count; w_each = R.mul mass gprod; px_each = mass } :: !cells
+            ({ count; w_each = R.mul mass gprod; px_each = mass }, gprod)
+            :: !cells
     | ((b, gid), n) :: rest ->
         List.iter
           (fun (c, mult, w) ->
@@ -299,19 +301,19 @@ let leaf_cells m sym blocks n_blocks n_values gids =
   go groups R.one R.one;
   List.rev !cells
 
+(* [w_each = px_each * gprod], so a cell's log factor
+   [log2 (w_each / (px_each * p_t))] is [log2 (gprod / p_t)]: the same
+   canonical rational, hence the same float, without the product. *)
 let leaf_path cells =
-  let masses = List.map (fun cl -> R.mul cl.count cl.w_each) cells in
+  let masses = List.map (fun (cl, _) -> R.mul cl.count cl.w_each) cells in
   let p_t = List.fold_left R.add R.zero masses in
   let logs =
-    Array.of_list
-      (List.map
-         (fun cl -> R.log2 (R.div cl.w_each (R.mul cl.px_each p_t)))
-         cells)
+    Array.of_list (List.map (fun (_, gprod) -> R.log2 (R.div gprod p_t)) cells)
   in
   let terms =
     Array.of_list (List.mapi (fun j cw -> R.to_float cw *. logs.(j)) masses)
   in
-  { path = { transcript = []; cells; p_t }; logs; terms }
+  { path = { transcript = []; cells = List.map fst cells; p_t }; logs; terms }
 
 let prefix event x =
   { x with path = { x.path with transcript = event :: x.path.transcript } }

@@ -41,48 +41,53 @@ let memo_size (m : memo) = Cross.length m
     order as the generic [bind]/[map], without the dedupe/renormalize
     round-trip. *)
 let transcript_dist ?memo tree inputs =
-  let xkey = lazy (Obj.repr inputs) in
+  let xkey = Obj.repr inputs in
   let find_shared key =
     match memo with
     | None -> None
-    | Some tbl -> Cross.find_opt tbl (key, Lazy.force xkey)
+    | Some tbl -> Cross.find_opt tbl (key, xkey)
   in
-  let add_shared key d =
-    match memo with
-    | None -> ()
-    | Some tbl -> Cross.replace tbl (key, Lazy.force xkey) d
-  in
-  let local = Tree.Tbl.create 64 in
-  let rec go tree =
-    let key = Tree.id tree in
-    match Tree.Tbl.find_opt local key with
-    | Some d -> d
-    | None -> (
-        match find_shared key with
-        | Some d ->
-            Tree.Tbl.add local key d;
-            d
-        | None ->
-            let d =
-              match tree with
-              | Tree.Output _ -> D.return []
-              | Tree.Speak { speaker; emit; children; _ } ->
-                  let msg_dist = emit inputs.(speaker) in
-                  D.bind_disjoint msg_dist (fun m ->
-                      D.map_injective
-                        (fun rest -> Tree.Msg (speaker, m) :: rest)
-                        (go children.(m)))
-              | Tree.Chance { coin; children; _ } ->
-                  D.bind_disjoint coin (fun c ->
-                      D.map_injective
-                        (fun rest -> Tree.Coin c :: rest)
-                        (go children.(c)))
-            in
-            Tree.Tbl.add local key d;
-            add_shared key d;
-            d)
-  in
-  go tree
+  match find_shared (Tree.id tree) with
+  | Some d -> d (* a law already shared costs no per-call table *)
+  | None ->
+      let add_shared key d =
+        match memo with
+        | None -> ()
+        | Some tbl -> Cross.replace tbl (key, xkey) d
+      in
+      let local = Tree.Tbl.create 64 in
+      let rec go tree =
+        let key = Tree.id tree in
+        match Tree.Tbl.find_opt local key with
+        | Some d -> d
+        | None -> (
+            match find_shared key with
+            | Some d ->
+                Tree.Tbl.add local key d;
+                d
+            | None -> build key tree)
+      and build key tree =
+        let d =
+          match tree with
+          | Tree.Output _ -> D.return []
+          | Tree.Speak { speaker; emit; children; _ } ->
+              let msg_dist = emit inputs.(speaker) in
+              D.bind_disjoint msg_dist (fun m ->
+                  D.map_injective
+                    (fun rest -> Tree.Msg (speaker, m) :: rest)
+                    (go children.(m)))
+          | Tree.Chance { coin; children; _ } ->
+              D.bind_disjoint coin (fun c ->
+                  D.map_injective
+                    (fun rest -> Tree.Coin c :: rest)
+                    (go children.(c)))
+        in
+        Tree.Tbl.add local key d;
+        add_shared key d;
+        d
+      in
+      (* the root missed the shared memo above *)
+      build (Tree.id tree) tree
 
 (** Law of the protocol's output on fixed inputs. *)
 let output_dist tree inputs =

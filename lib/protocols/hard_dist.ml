@@ -146,15 +146,20 @@ let mu_and_orbit ~k = mu_and_orbit_p ~k ~p_zero:(R.of_ints 1 k)
     on [Z = z] the law is a product — [X_z = 0] deterministically, the
     others iid zero w.p. [p_zero] — hence block-exchangeable over
     [{z}] and the rest. This is the shape {!Proto.Orbit.conditional_ic}
-    consumes. *)
+    consumes. The slices differ only in which player is special, so
+    slice 0 is built once and the others relabel its classes. *)
 let mu_and_aux_slices_p ~k ~p_zero =
   check_p ~fn:"mu_and_aux_slices_p" ~k p_zero;
-  let p_one = R.sub R.one p_zero in
+  let blocks z = Array.init k (fun i -> if i = z then 0 else 1) in
+  let weights = [| [| R.one; R.zero |]; [| p_zero; R.sub R.one p_zero |] |] in
+  let slice0 =
+    Prob.Symdist.iid_blocks ~domain:bit_domain ~blocks:(blocks 0) weights
+  in
+  let pz = R.of_ints 1 k in
   List.init k (fun z ->
-      let blocks = Array.init k (fun i -> if i = z then 0 else 1) in
-      let weights = [| [| R.one; R.zero |]; [| p_zero; p_one |] |] in
-      ( R.of_ints 1 k,
-        Prob.Symdist.iid_blocks ~domain:bit_domain ~blocks weights ))
+      ( pz,
+        if z = 0 then slice0
+        else Prob.Symdist.relabel slice0 ~blocks:(blocks z) ))
 
 let mu_and_aux_slices ~k = mu_and_aux_slices_p ~k ~p_zero:(R.of_ints 1 k)
 

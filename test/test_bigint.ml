@@ -297,6 +297,65 @@ let prop_gcd_shifted =
       let bb = B.shift_left (B.of_int b) (sh / 2) in
       B.equal (B.gcd ba bb) (BT.gcd_euclid ba bb))
 
+(* A one-limb operand: the gcd finishes in native ints after one
+   remainder pass over the other operand, which may be multi-limb,
+   zero or negative; a planted factor [m] makes the result [m].
+   [gcd_int] is the same gcd as an int. *)
+let prop_gcd_one_limb =
+  qtest "gcd with a one-limb operand = Euclid gcd" ~count:300
+    (QCheck.quad (QCheck.int_range 0 6) (QCheck.int_range 1 ((1 lsl 30) - 1))
+       (QCheck.triple QCheck.bool QCheck.bool QCheck.bool)
+       (QCheck.int_range 0 1000000))
+    (fun (la, m, (neg_a, neg_m, plant), salt) ->
+      let a = if la = 0 then B.zero else value_of_limbs ~salt la in
+      let a = if plant then B.mul a (B.of_int m) else a in
+      let a = if neg_a then B.neg a else a in
+      let bm = B.of_int (if neg_m then -m else m) in
+      let want = BT.gcd_euclid a bm in
+      B.equal (B.gcd a bm) want
+      && B.equal (B.gcd bm a) want
+      && B.to_int_opt want = Some (B.gcd_int a m))
+
+let t_gcd_int_range () =
+  List.iter
+    (fun m ->
+      match B.gcd_int B.one m with
+      | _ -> Alcotest.failf "gcd_int accepted %d" m
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; 1 lsl 30 ]
+
+(* [num_bits] against a loop over the bits, at every width of the top
+   limb and one to four limbs: the smallest and largest top limbs of
+   each width, and a random one. *)
+let t_num_bits_widths () =
+  let loop_bits x =
+    let rec go i =
+      if i < 0 then 0 else if B.testbit x i then i + 1 else go (i - 1)
+    in
+    go ((BT.limb_count x * 30) - 1)
+  in
+  for limbs = 1 to 4 do
+    for w = 1 to 30 do
+      List.iter
+        (fun top ->
+          let low = value_of_limbs ~salt:(limbs + w) limbs in
+          let x =
+            B.add
+              (B.shift_left (B.of_int top) ((limbs - 1) * 30))
+              (B.sub low (B.shift_left (B.shift_right low ((limbs - 1) * 30))
+                            ((limbs - 1) * 30)))
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "num_bits, %d limbs, top limb %d" limbs top)
+            (loop_bits x) (B.num_bits x);
+          Alcotest.(check int) "and its width" (((limbs - 1) * 30) + w)
+            (B.num_bits x))
+        [ 1 lsl (w - 1);
+          (1 lsl w) - 1;
+          (1 lsl (w - 1)) lor (w * 2654435761 land ((1 lsl (w - 1)) - 1)) ]
+    done
+  done
+
 let odd v = if B.testbit v 0 then v else B.add v B.one
 
 let prop_div_exact_matches_div =
@@ -516,6 +575,9 @@ let suite =
     quick "binary gcd = Euclid at word-size edges" t_gcd_binary_matches_euclid_edges;
     prop_gcd_binary_matches_euclid;
     prop_gcd_shifted;
+    prop_gcd_one_limb;
+    quick "gcd_int refuses a divisor outside one limb" t_gcd_int_range;
+    quick "num_bits at every top-limb width" t_num_bits_widths;
     prop_div_exact_matches_div;
     quick "div_exact of a non-multiple raises" t_div_exact_not_multiple;
     prop_acc_mul_small_matches;

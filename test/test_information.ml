@@ -6,7 +6,9 @@
     to the prefix-hashtable formula it replaces, within 1e-12 per round
     (it sums each round's terms in another order). The laws
     [Hard_dist.mu_and_with_aux_p] and [Hard_dist.mu_and] are held equal,
-    item for item, to the constructions they replace. *)
+    item for item, to the constructions they replace. The orbit
+    engine's IC and CIC are held bit-equal to a recomputation from its
+    collapsed law with the log factor it no longer forms. *)
 
 module T = Proto.Tree
 module Sem = Proto.Semantics
@@ -313,6 +315,80 @@ let t_laws_equal () =
       (HD.mu_and ~k)
   done
 
+(* ------------------------------------------------------------------ *)
+(* The orbit engine's log factors.                                     *)
+(* ------------------------------------------------------------------ *)
+
+module Orbit = Proto.Orbit
+
+(* The Kahan sum of [Orbit]'s measures, in list order. *)
+let kahan xs =
+  let sum = ref 0.0 and comp = ref 0.0 in
+  List.iter
+    (fun x ->
+      let y = x -. !comp in
+      let t = !sum +. y in
+      comp := t -. !sum -. y;
+      sum := t)
+    xs;
+  !sum
+
+(* Orbit IC recomputed from the collapsed law with each cell's log
+   factor taken as [log2 (w / (px * p_t))], the product the engine no
+   longer forms; CIC as the [P(z)]-weighted sum over the slices. *)
+let ref_orbit_ic tree sym =
+  kahan
+    (List.concat_map
+       (fun (p : Orbit.path) ->
+         List.map
+           (fun (cl : Orbit.cell) ->
+             R.to_float (R.mul cl.count cl.w_each)
+             *. R.log2 (R.div cl.w_each (R.mul cl.px_each p.p_t)))
+           p.cells)
+       (Orbit.collapse tree sym))
+
+let ref_orbit_cic tree slices =
+  kahan
+    (List.filter_map
+       (fun (wz, sym) ->
+         if R.is_zero wz then None
+         else Some (R.to_float wz *. ref_orbit_ic tree sym))
+       slices)
+
+let check_orbit_bits name tree ~k =
+  List.iter
+    (fun p_zero ->
+      let name = Printf.sprintf "%s, p_zero=%s" name (R.to_string p_zero) in
+      let sym = HD.mu_and_orbit_p ~k ~p_zero
+      and slices = HD.mu_and_aux_slices_p ~k ~p_zero in
+      let memo = Orbit.memo () in
+      let ic = Orbit.external_ic ~memo tree sym
+      and want = ref_orbit_ic tree sym in
+      if not (bit_equal ic want) then fail_bits "orbit IC" name ic want;
+      let cic = Orbit.conditional_ic ~memo tree slices
+      and want = ref_orbit_cic tree slices in
+      if not (bit_equal cic want) then fail_bits "orbit CIC" name cic want)
+    (p_zeros k)
+
+let prop_orbit_log_factor =
+  qtest "orbit IC, CIC bit-equal to the w / (px p_t) log factor" ~count:60
+    QCheck.small_nat (fun seed ->
+      let tname, k, tree = tree_of_seed seed in
+      check_orbit_bits tname tree ~k;
+      true)
+
+let t_orbit_log_factor_families () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (tname, tree) ->
+          check_orbit_bits (Printf.sprintf "%s k=%d" tname k) tree ~k)
+        [ ("sequential", AP.sequential k);
+          ("noisy 1/10", AP.noisy_sequential ~k ~noise:(R.of_ints 1 10));
+          ("noisy 3/10", AP.noisy_sequential ~k ~noise:(R.of_ints 3 10)) ])
+    [ 6; 9; 12 ];
+  check_orbit_bits "broadcast-all k=6" (AP.broadcast_all 6) ~k:6
+
 let suite =
   [
     prop_measures_bit_equal;
@@ -320,4 +396,7 @@ let suite =
     quick "CIC bit-equal on the AND families, k = 2..5" t_cic_families;
     quick "laws without positive mass are refused" t_bad_laws;
     quick "Section-4.1 laws equal the per-player construction" t_laws_equal;
+    prop_orbit_log_factor;
+    quick "orbit log factors on the AND families, k = 6..12"
+      t_orbit_log_factor_families;
   ]

@@ -227,6 +227,57 @@ let prop_int_ops_match =
       && (m = 0 || R.compare (R.div_int a m) (R.div a (R.of_int m)) = 0)
       && R.compare (R.pow a 3) (R.mul a (R.mul a a)) = 0)
 
+(* Operands for the reference comparison: the mixed word/bigint values,
+   zero, negatives, and one-limb numerators over bigint denominators. *)
+let ref_operand_gen =
+  QCheck.oneof
+    [ mixed_rat_gen;
+      QCheck.always R.zero;
+      QCheck.map R.neg mixed_rat_gen;
+      QCheck.map
+        (fun (n, e) -> R.make (B.of_int n) (B.shift_left B.one e))
+        (QCheck.pair (QCheck.int_range (-1000) 1000) (QCheck.int_range 0 90));
+    ]
+
+(* Pairs of operands, a third of them over one denominator: an odd
+   numerator over a power of two, word or bigint, keeps its
+   denominator once reduced. *)
+let ref_pair_gen =
+  let same_den =
+    QCheck.map
+      (fun ((n1, n2), e) ->
+        let d = B.shift_left B.one e in
+        ( R.make (B.of_int ((2 * n1) + 1)) d,
+          R.make (B.of_int ((2 * n2) + 1)) d ))
+      (QCheck.pair
+         (QCheck.pair
+            (QCheck.int_range (-5000) 5000)
+            (QCheck.int_range (-5000) 5000))
+         (QCheck.int_range 1 90))
+  in
+  QCheck.oneof
+    [ QCheck.pair ref_operand_gen ref_operand_gen;
+      QCheck.pair ref_operand_gen ref_operand_gen;
+      same_den ]
+
+(* Equal values, floats and logarithms bit for bit: a result that is
+   not canonical fails [R.equal] against the reference. *)
+let same_bits x y =
+  let bits f = Int64.bits_of_float f in
+  R.equal x y
+  && Int64.equal (bits (R.to_float x)) (bits (R.to_float y))
+  && (R.sign x <= 0 || Int64.equal (bits (R.log2 x)) (bits (R.log2 y)))
+
+let prop_ops_match_reference =
+  qtest "add/mul/div = reduce-after-product references" ~count:500
+    ref_pair_gen (fun (a, b) ->
+      same_bits (R.add a b) (RT.add_ref a b)
+      && same_bits (R.add b a) (RT.add_ref b a)
+      && same_bits (R.sub a b) (RT.add_ref a (R.neg b))
+      && same_bits (R.mul a b) (RT.mul_ref a b)
+      && (R.is_zero b || same_bits (R.div a b) (RT.div_ref a b))
+      && (R.is_zero a || same_bits (R.div b a) (RT.div_ref b a)))
+
 let t_word_boundary_edges () =
   let m = RT.small_max in
   Alcotest.(check bool) "small_max is small" true (RT.is_small (R.of_int m));
@@ -297,6 +348,7 @@ let suite =
     prop_ops_match_big_path;
     prop_representation_invisible;
     prop_int_ops_match;
+    prop_ops_match_reference;
     quick "word-boundary edges" t_word_boundary_edges;
     quick "min_int edges" t_min_int_edges;
     quick "is_one" t_is_one;

@@ -150,6 +150,53 @@ let test_hard_dist_orbit_forms () =
       (Sem.all_bit_inputs k)
   done
 
+let test_relabeled_slices () =
+  (* Slices z >= 1 relabel slice 0's classes; each expands, atom by
+     atom and in order, to the law [iid_blocks] builds for its blocks. *)
+  let expect_same ~msg want got =
+    let want = D.to_alist want and got = D.to_alist got in
+    Alcotest.(check int) (msg ^ ": atoms") (List.length want) (List.length got);
+    List.iter2
+      (fun (x, w) (x', w') ->
+        if x <> x' || not (R.equal w w') then
+          Alcotest.failf "%s: atoms differ" msg)
+      want got
+  in
+  for k = 2 to 8 do
+    List.iter
+      (fun p_zero ->
+        let weights =
+          [| [| R.one; R.zero |]; [| p_zero; R.sub R.one p_zero |] |]
+        in
+        List.iteri
+          (fun z (wz, sym) ->
+            let msg =
+              Printf.sprintf "slice %d of k=%d, p_zero=%s" z k
+                (R.to_string p_zero)
+            in
+            check_rational ~msg (R.of_ints 1 k) wz;
+            let blocks = Array.init k (fun i -> if i = z then 0 else 1) in
+            Alcotest.(check (array int)) msg blocks (SD.blocks sym);
+            expect_same ~msg
+              (SD.to_dist (SD.iid_blocks ~domain:[| 0; 1 |] ~blocks weights))
+              (SD.to_dist sym))
+          (Protocols.Hard_dist.mu_and_aux_slices_p ~k ~p_zero))
+      [ R.zero; R.of_ints 1 3; R.of_ints 1 k; R.half; R.one ]
+  done;
+  let sym =
+    SD.iid_blocks ~domain:[| 0; 1 |] ~blocks:[| 0; 1; 1 |]
+      [| [| R.half; R.half |]; [| R.of_ints 1 3; R.of_ints 2 3 |] |]
+  in
+  List.iter
+    (fun blocks ->
+      match SD.relabel sym ~blocks with
+      | _ ->
+          Alcotest.failf "relabel to [%s] accepted"
+            (String.concat ";" (Array.to_list (Array.map string_of_int blocks)))
+      | exception Invalid_argument _ -> ())
+    [ [| 0; 0; 1 |]; [| 0; 1 |]; [| 0; 1; 1; 1 |]; [| 0; 1; 2 |];
+      [| 1; 1; 1 |] ]
+
 let test_of_dist_roundtrip_and_refusal () =
   (* Round trip: a genuinely exchangeable law collapses. *)
   let k = 3 in
@@ -409,6 +456,7 @@ let suite =
     quick "multinomials" test_multinomial;
     quick "uniform symdist expansion" test_uniform_expansion;
     quick "hard-dist orbit forms expand exactly" test_hard_dist_orbit_forms;
+    quick "relabeled slices = iid_blocks slices" test_relabeled_slices;
     quick "of_dist round trip and refusal witness"
       test_of_dist_roundtrip_and_refusal;
     prop_orbit_equals_direct_random;
