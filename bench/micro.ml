@@ -296,9 +296,11 @@ let aux_slices_words () =
 
 (* Allocation guard for the direct engine's joint table: minor words
    per atom of [mu_and_with_aux ~k:9] (2,304 atoms) for one warm-memo
-   [conditional_ic] of sequential AND_9. Over the int-coded table the
-   run reads ~73, with a root hit in the shared memo returning before
-   [transcript_dist] builds its per-call table (~94 without that);
+   [conditional_ic] of sequential AND_9. The table over this law is
+   not kept in the memo, so each run builds it: ~67 with integer row
+   masses and pre-sized columns (~73 with rational weights), a root hit in the shared memo
+   returning before [transcript_dist] builds its per-call table (~94
+   without that);
    conditioning the hashed joint once per value of Z, with three
    hash-deduping [D.map]s per slice, read 456. *)
 let direct_cic_words () =
@@ -318,6 +320,38 @@ let direct_cic_words () =
     "direct CIC of sequential AND_%d, warm memo (%.0f atoms): %.1f minor \
      words per atom"
     k atoms words
+
+(* Allocation guard for one whole direct request, as [broadcast_cli
+   info] and the benchmark's direct operations make it: minor words of
+   sequential AND_9's two Section-4.1 laws, its worst-case error and
+   the four measures on a fresh memo (the tree is built beforehand).
+   With the input law's joint table kept in the memo, integer row
+   masses and the error summed per node, ~526k; 819k when each measure
+   built its own table and the error built every input's transcript
+   law. A deterministic count. *)
+let direct_request_words () =
+  let k = 9 in
+  let tree = Protocols.And_protocols.sequential k in
+  let before = Gc.minor_words () in
+  let mu_aux = Protocols.Hard_dist.mu_and_with_aux ~k
+  and mu = Protocols.Hard_dist.mu_and ~k in
+  let err =
+    Proto.Semantics.worst_case_error tree ~f:Protocols.Hard_dist.and_fn
+      (Proto.Semantics.all_bit_inputs k)
+  in
+  let memo = Proto.Semantics.memo () in
+  let ic = Proto.Information.external_ic ~memo tree mu in
+  let cic = Proto.Information.conditional_ic ~memo tree mu_aux in
+  let ht = Proto.Information.transcript_entropy ~memo tree mu in
+  let rounds = Proto.Information.per_round_information ~memo tree mu in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity (err, ic, cic, ht, rounds));
+  assert (words < 700_000.0);
+  Exp_util.record_f "direct_request_words" words;
+  Exp_util.note
+    "direct request on sequential AND_%d (laws, error, four measures): \
+     %.0f minor words"
+    k words
 
 (* Allocation guards for the Theorem-3 compressors, on sequential AND_4
    under its Section-4.1 law. (a) Minor words of literal
@@ -610,6 +644,7 @@ let run () =
   orbit_cic_states ();
   aux_slices_words ();
   direct_cic_words ();
+  direct_request_words ();
   compress_words ();
   exact_div_regression ();
   compile_scaling_regression ();

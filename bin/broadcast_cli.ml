@@ -124,7 +124,7 @@ let instance_arg =
   in
   Arg.(value & opt (enum kinds) Disjoint
        & info [ "i"; "instance" ]
-           ~doc:(Printf.sprintf "Instance kind, one of %s."
+           ~doc:(Printf.sprintf "Instance kind, %s."
                    (Arg.doc_alts_enum kinds)))
 
 let make_instance kind rng ~n ~k =
@@ -202,7 +202,7 @@ let disj_cmd =
   let protocol =
     Arg.(value & opt (enum disj_protocols) Batched
          & info [ "p"; "protocol" ]
-             ~doc:(Printf.sprintf "Protocol, one of %s."
+             ~doc:(Printf.sprintf "Protocol, %s."
                      (Arg.doc_alts_enum disj_protocols)))
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"PRNG seed.") in
@@ -278,7 +278,7 @@ let info_cmd =
   let protocol =
     Arg.(value & opt (enum protocols) Sequential
          & info [ "p"; "protocol" ]
-             ~doc:(Printf.sprintf "Protocol, one of %s."
+             ~doc:(Printf.sprintf "Protocol, %s."
                      (Arg.doc_alts_enum protocols)))
   in
   let noise =

@@ -82,6 +82,9 @@ let of_bigint n = demote n Bigint.one
 let num = function S { n; _ } -> Bigint.of_int n | B { num; _ } -> num
 let den = function S { d; _ } -> Bigint.of_int d | B { den; _ } -> den
 
+let parts x ~word ~big =
+  match x with S { n; d } -> word n d | B { num; den } -> big num den
+
 let to_float = function
   | S { n; d } ->
       (* |n|, d <= 2^30 < 2^53: both conversions and the division are

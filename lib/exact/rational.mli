@@ -35,6 +35,13 @@ val of_bigint : Bigint.t -> t
 val num : t -> Bigint.t
 val den : t -> Bigint.t
 
+val parts :
+  t -> word:(int -> int -> 'a) -> big:(Bigint.t -> Bigint.t -> 'a) -> 'a
+(** [parts x ~word ~big] is [word n d] when [x = n/d] sits on the
+    word representation and [big num den] otherwise: the canonical
+    numerator and denominator, without building a {!Bigint} for a
+    word-size value. *)
+
 val to_float : t -> float
 (** A float within a few ulps of the value. Finite for every value
     inside the float range, whatever the size of its numerator and

@@ -76,6 +76,12 @@ module Make (W : Weight.S) = struct
 
   let return v = { items = [| (v, W.one) |]; index = None }
 
+  (* [of_distinct items] equals [of_weighted (Array.to_list items)] when
+     the values are pairwise distinct and the weights positive with a
+     total of exactly one: the array becomes the law's items as it is.
+     Unchecked — callers own those conditions, and the array. *)
+  let of_distinct items = { items; index = None }
+
   let to_alist d = Array.to_list d.items
   let support d = Array.to_list (Array.map fst d.items)
   let size d = Array.length d.items

@@ -11,6 +11,13 @@ type weight = Exact.Rational.t
 type 'a t = 'a Dist_core.Make(Weight.Exact).t
 
 val of_weighted : ('a * weight) list -> 'a t
+
+val of_distinct : ('a * weight) array -> 'a t
+(** [of_distinct items] is [of_weighted (Array.to_list items)] for
+    pairwise distinct values with positive weights summing to exactly
+    one, in the same order, without the dedupe and the sum. Unchecked:
+    the caller owns those conditions, and hands the array over. *)
+
 val return : 'a -> 'a t
 val uniform : 'a list -> 'a t
 val bernoulli : weight -> bool t

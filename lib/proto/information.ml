@@ -9,11 +9,12 @@
 
 module D = Prob.Dist_exact
 module R = Exact.Rational
+module Bigint = Exact.Bigint
 
 (* A growable column. *)
 type 'a col = { mutable a : 'a array; mutable n : int }
 
-let col x = { a = Array.make 64 x; n = 0 }
+let col ?(size = 64) x = { a = Array.make (max size 1) x; n = 0 }
 
 let push c x =
   if c.n = Array.length c.a then c.a <- Array.append c.a (Array.make c.n x);
@@ -27,6 +28,75 @@ module Itbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* (input, aux, transcript) cells. *)
+module Cells = Hashtbl.Make (struct
+  type t = int * int * int
+
+  let equal (a, b, c) (a', b', c') = a = a' && b = b' && c = c'
+  let hash (a, b, c) = Hashtbl.hash ((((a * 65599) + b) * 65599) + c)
+end)
+
+(* A mass: a non-negative integer, a native int while it fits and a
+   [Bigint] past that, as [Rational] keeps its [S] and [B] forms, so
+   equal masses have equal forms. *)
+type mass = I of int | Z of Bigint.t
+
+let big = function I a -> Bigint.of_int a | Z a -> a
+let of_big a = match Bigint.to_int_opt a with Some a -> I a | None -> Z a
+
+let add a b =
+  match (a, b) with
+  | I 0, x | x, I 0 -> x
+  | I a, I b when a + b >= 0 -> I (a + b)
+  | _ -> Z (Bigint.add (big a) (big b))
+
+let mul a b =
+  match (a, b) with
+  | I 1, x | x, I 1 -> x
+  | I a, I b when a = 0 || b <= max_int / a -> I (a * b)
+  | _ -> of_big (Bigint.mul (big a) (big b))
+
+let equal a b =
+  match (a, b) with
+  | I a, I b -> a = b
+  | Z a, Z b -> Bigint.equal a b
+  | _ -> false
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* The least common multiple of two positive masses. *)
+let lcm l d =
+  match (l, d) with
+  | I a, I b -> if a mod b = 0 then l else mul l (I (b / gcd a b))
+  | _ ->
+      let a = big l and b = big d in
+      if Bigint.is_zero (Bigint.rem a b) then l
+      else of_big (Bigint.mul a (Bigint.div_exact b (Bigint.gcd a b)))
+
+(* [quo a b] is [a / b] for a [b] that divides [a]. *)
+let quo a b =
+  match (a, b) with
+  | I a, I b -> if a = b then I 1 else I (a / b)
+  | _ -> of_big (Bigint.div_exact (big a) (big b))
+
+(* A weight's canonical numerator and denominator. *)
+let fraction w =
+  R.parts w ~word:(fun n d -> (I n, I d))
+    ~big:(fun n d -> (of_big n, of_big d))
+
+(* [ratio a b] is the canonical rational a/b, [b] positive. *)
+let ratio a b =
+  match (a, b) with I a, I b -> R.of_ints a b | _ -> R.make (big a) (big b)
+
+(* The float of a/b: [R.to_float] of the canonical rational, bit for
+   bit. Below 2^53 both sides convert exactly and the division rounds
+   once, as it does on the reduced sides [R.to_float] divides; above
+   that a conversion could round, so the rational decides. *)
+let to_float a b =
+  match (a, b) with
+  | I a, I b when a < 1 lsl 53 && b < 1 lsl 53 -> float a /. float b
+  | _ -> R.to_float (ratio a b)
+
 (* The joint law of (input, aux, transcript) as int-coded rows: the
    rows of [D.bind mu (fun v -> D.map (fun t -> (v, t))
    (Semantics.transcript_dist (input v)))], in its order, with its exact
@@ -34,7 +104,14 @@ end)
    non-positive weights and is renormalized unless its mass is exactly
    one; pieces of non-positive weight are dropped; a repeated (input,
    aux, transcript) merges at its first position; and the rows are
-   renormalized unless their total is exactly one.
+   renormalized by their total.
+
+   A row's weight is [mass / total]: each piece's integer numerator and
+   denominator (the products of its two weights' canonical parts)
+   brought over the lcm of the denominators so far, the rows already
+   there scaled up when a piece's denominator raises the lcm. Every
+   marginal and slice mass is then an integer sum, and a conditional
+   weight a ratio of two of them.
 
    Inputs are numbered by first occurrence in [mu], aux values by first
    appearance in the rows. A transcript is numbered by the node it ends
@@ -48,7 +125,8 @@ type table = {
   input : int array;
   aux : int array;
   tr : int array;
-  w : R.t array;
+  mass : mass array;
+  total : mass;
   inputs : int;
   auxes : int;
   nodes : int;
@@ -94,52 +172,83 @@ let table ?memo tree split mu =
         let total = List.fold_left (fun s (_, w) -> R.add s w) w0 rest in
         List.map
           (fun (t, w) ->
-            (intern 0 t, if R.is_one total then w else R.div w total))
+            let w = if R.is_one total then w else R.div w total in
+            (intern 0 t, fraction w))
           items
   in
+  (* One row per item of [mu] when each transcript law is a point: the
+     columns start at that size, so they rarely grow. *)
+  let size = D.size mu in
   let inputs = Hashtbl.create 256 and auxes = Hashtbl.create 16 in
-  let laws = col [] and cells = Hashtbl.create 256 in
-  let input = col 0 and aux = col 0 and tr = col 0 and w = col R.zero in
-  let total = ref R.zero in
+  let laws = col [] and cells = Cells.create size in
+  let input = col ~size 0 and aux = col ~size 0 and tr = col ~size 0
+  and mass = col ~size (I 0) in
+  let l = ref (I 1) in
   List.iter
     (fun (v, wv) ->
       let x, d = split v in
       let xid = number inputs x in
       if xid = laws.n then push laws (law x);
       if R.sign wv > 0 then begin
-        total := R.add !total wv;
+        let a, b = fraction wv in
         let z = number auxes d in
         List.iter
-          (fun (t, wt) ->
-            let piece = if R.is_one wt then wv else R.mul wv wt in
-            let r = number cells (xid, z, t) in
-            if r < w.n then w.a.(r) <- R.add w.a.(r) piece
-            else begin
-              push input xid;
-              push aux z;
-              push tr t;
-              push w piece
-            end)
+          (fun (t, (c, e)) ->
+            let e = mul b e in
+            let l' = lcm !l e in
+            if not (equal l' !l) then begin
+              let f = quo l' !l in
+              for r = 0 to mass.n - 1 do
+                mass.a.(r) <- mul mass.a.(r) f
+              done;
+              l := l'
+            end;
+            let w = mul (mul a c) (quo l' e) in
+            let key = (xid, z, t) in
+            match Cells.find_opt cells key with
+            | Some r -> mass.a.(r) <- add mass.a.(r) w
+            | None ->
+                Cells.add cells key input.n;
+                push input xid;
+                push aux z;
+                push tr t;
+                push mass w)
           laws.a.(xid)
       end)
     (D.to_alist mu);
-  if w.n = 0 then no_mass ();
-  let total = !total in
-  { rows = w.n; input = input.a; aux = aux.a; tr = tr.a;
-    w = (if R.is_one total then w.a
-         else Array.init w.n (fun r -> R.div w.a.(r) total));
-    inputs = laws.n; auxes = Hashtbl.length auxes; nodes = parent.n;
-    parent = parent.a; code = code.a }
+  if input.n = 0 then no_mass ();
+  let total = ref (I 0) in
+  for r = 0 to input.n - 1 do
+    total := add !total mass.a.(r)
+  done;
+  { rows = input.n; input = input.a; aux = aux.a; tr = tr.a; mass = mass.a;
+    total = !total; inputs = laws.n;
+    auxes = Hashtbl.length auxes; nodes = parent.n; parent = parent.a;
+    code = code.a }
 
 let no_aux x = (x, ())
 
-(* The exact mass of each id in [0, n) over the rows, [ids] giving each
-   row's id. *)
+type Semantics.kept += Joint of table
+
+(* The table of [mu] itself, which [memo] keeps for the other measures
+   over the same tree and law. *)
+let joint ?memo tree mu =
+  match memo with
+  | None -> table tree no_aux mu
+  | Some memo -> (
+      match Semantics.kept memo tree mu with
+      | Some (Joint j) -> j
+      | _ ->
+          let j = table ~memo tree no_aux mu in
+          Semantics.keep memo tree mu (Joint j);
+          j)
+
+(* The mass of each id in [0, n) over the rows, [ids] giving each row's
+   id. *)
 let sums n ids j =
-  let m = Array.make n R.zero in
+  let m = Array.make n (I 0) in
   for r = 0 to j.rows - 1 do
-    let i = ids.(r) in
-    m.(i) <- (if R.is_zero m.(i) then j.w.(r) else R.add m.(i) j.w.(r))
+    m.(ids.(r)) <- add m.(ids.(r)) j.mass.(r)
   done;
   m
 
@@ -161,21 +270,22 @@ let mi_term fw pa pb =
 
 (* [slice_mi j rows] is [(wz, mi)]: the mass [wz] of [rows] (a slice of
    the table in row order) and [Measures.mutual_information] of the
-   slice after [D.condition] on it — each weight over [wz] (skipped on a
-   mass of one), against the slice's exact marginals of its input and
-   transcript. The marginals live in arrays reset lazily by a stamp: a
-   fresh even stamp s marks this slice's masses, s + 1 their floats. *)
+   slice after [D.condition] on it — each weight is its mass over [wz],
+   against the slice's marginals of its input and transcript, which are
+   integer sums over [wz] too. The marginals live in arrays reset lazily
+   by a stamp: a fresh even stamp s marks this slice's masses, s + 1
+   their floats. *)
 let slice_mi j =
-  let px = Array.make j.inputs R.zero and xs = Array.make j.inputs 0
+  let px = Array.make j.inputs (I 0) and xs = Array.make j.inputs 0
   and fx = Array.make j.inputs 0. in
-  let pt = Array.make j.nodes R.zero and ts = Array.make j.nodes 0
+  let pt = Array.make j.nodes (I 0) and ts = Array.make j.nodes 0
   and ft = Array.make j.nodes 0. in
   let stamp = ref 0 in
   fun rows ->
     stamp := !stamp + 2;
     let s = !stamp in
     let bump m ms i w =
-      if ms.(i) = s then m.(i) <- R.add m.(i) w
+      if ms.(i) = s then m.(i) <- add m.(i) w
       else begin
         ms.(i) <- s;
         m.(i) <- w
@@ -184,16 +294,15 @@ let slice_mi j =
     let wz =
       List.fold_left
         (fun acc r ->
-          bump px xs j.input.(r) j.w.(r);
-          bump pt ts j.tr.(r) j.w.(r);
-          if R.is_zero acc then j.w.(r) else R.add acc j.w.(r))
-        R.zero rows
+          bump px xs j.input.(r) j.mass.(r);
+          bump pt ts j.tr.(r) j.mass.(r);
+          add acc j.mass.(r))
+        (I 0) rows
     in
-    let cond w = R.to_float (if R.is_one wz then w else R.div w wz) in
     let float m ms f i =
       if ms.(i) = s then begin
         ms.(i) <- s + 1;
-        f.(i) <- cond m.(i)
+        f.(i) <- to_float m.(i) wz
       end;
       f.(i)
     in
@@ -201,16 +310,17 @@ let slice_mi j =
     List.iter
       (fun r ->
         let pa = float px xs fx j.input.(r) and pb = float pt ts ft j.tr.(r) in
-        kadd k (mi_term (cond j.w.(r)) pa pb))
+        kadd k (mi_term (to_float j.mass.(r) wz) pa pb))
       rows;
     (wz, k.sum)
 
 let external_ic ?memo tree mu =
-  let j = table ?memo tree no_aux mu in
+  let j = joint ?memo tree mu in
   snd (slice_mi j (List.init j.rows Fun.id))
 
 (* The values of the aux variable in order of first appearance, each
-   weighted by its mass: [Measures.conditional_mutual_information]. *)
+   weighted by its mass: [Measures.conditional_mutual_information]. The
+   table of [mu_xd] is not kept. *)
 let conditional_ic ?memo tree mu_xd =
   let j = table ?memo tree Fun.id mu_xd in
   let slices = Array.make j.auxes [] in
@@ -221,19 +331,19 @@ let conditional_ic ?memo tree mu_xd =
   Array.iter
     (fun rows ->
       let wz, mi = mi rows in
-      kadd outer (R.to_float wz *. mi))
+      kadd outer (to_float wz j.total *. mi))
     slices;
   outer.sum
 
 let transcript_entropy ?memo tree mu =
-  let j = table ?memo tree no_aux mu in
+  let j = joint ?memo tree mu in
   let pt = sums j.nodes j.tr j and seen = Array.make j.nodes false in
   let k = kahan () in
   for r = 0 to j.rows - 1 do
     let t = j.tr.(r) in
     if not seen.(t) then begin
       seen.(t) <- true;
-      kadd k (-.Infotheory.Fn.xlog2x (R.to_float pt.(t)))
+      kadd k (-.Infotheory.Fn.xlog2x (to_float pt.(t) j.total))
     end
   done;
   k.sum
@@ -288,14 +398,12 @@ let per_round_information ?memo tree mu =
      message (public coins included in p, not counted as rounds) and m
      over the message written next. A prefix is a trie node p, and
      P(x,p,m) = P(x,p.m) for its child p.m. *)
-  let j = table ?memo tree no_aux mu in
+  let j = joint ?memo tree mu in
   let n = j.nodes and parent = j.parent in
   (* P(p): the transcripts' masses pushed up the trie. *)
   let pn = sums n j.tr j in
   for c = n - 1 downto 1 do
-    let p = parent.(c) in
-    if not (R.is_zero pn.(c)) then
-      pn.(p) <- (if R.is_zero pn.(p) then pn.(c) else R.add pn.(p) pn.(c))
+    pn.(parent.(c)) <- add pn.(parent.(c)) pn.(c)
   done;
   (* A message node's round: the messages above it. *)
   let msg c = j.code.(c) land 1 = 0 in
@@ -303,18 +411,18 @@ let per_round_information ?memo tree mu =
   for c = 1 to n - 1 do
     let p = parent.(c) in
     msgs.(c) <- (msgs.(p) + if msg c then 1 else 0);
-    if msg c && not (R.is_zero pn.(c)) then rounds := max !rounds msgs.(c)
+    if msg c && not (equal pn.(c) (I 0)) then rounds := max !rounds msgs.(c)
   done;
   let out = Array.make !rounds 0. in
   (* log2 (P(p) / P(p.m)), the whole log ratio where P(x,p.m) = P(x,p). *)
   let lratio = Array.make n nan in
   (* P(x,p) over each input's rows, which are contiguous; [stamp] and
      [emitted] hold the group's first row. *)
-  let px = Array.make n R.zero and stamp = Array.make n (-1)
+  let px = Array.make n (I 0) and stamp = Array.make n (-1)
   and emitted = Array.make n (-1) in
   let rec up lo w c =
     if c >= 0 then begin
-      px.(c) <- (if stamp.(c) = lo then R.add px.(c) w else w);
+      px.(c) <- (if stamp.(c) = lo then add px.(c) w else w);
       stamp.(c) <- lo;
       up lo w parent.(c)
     end
@@ -324,14 +432,14 @@ let per_round_information ?memo tree mu =
     if c > 0 && msg c && emitted.(c) <> lo then begin
       emitted.(c) <- lo;
       let l =
-        if R.equal px.(c) px.(p) then begin
+        if equal px.(c) px.(p) then begin
           if Float.is_nan lratio.(c) then
-            lratio.(c) <- R.log2 (R.div pn.(p) pn.(c));
+            lratio.(c) <- R.log2 (ratio pn.(p) pn.(c));
           lratio.(c)
         end
-        else R.log2 (R.div (R.mul px.(c) pn.(p)) (R.mul px.(p) pn.(c)))
+        else R.log2 (R.mul (ratio px.(c) px.(p)) (ratio pn.(p) pn.(c)))
       in
-      out.(msgs.(p)) <- out.(msgs.(p)) +. (R.to_float px.(c) *. l)
+      out.(msgs.(p)) <- out.(msgs.(p)) +. (to_float px.(c) j.total *. l)
     end;
     if c > 0 then terms lo p
   in
@@ -343,6 +451,6 @@ let per_round_information ?memo tree mu =
       done;
       lo := r
     end;
-    if r < j.rows then up !lo j.w.(r) j.tr.(r)
+    if r < j.rows then up !lo j.mass.(r) j.tr.(r)
   done;
   out

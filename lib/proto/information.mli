@@ -5,10 +5,17 @@
     of inputs, auxiliary variable and transcript: the rows of
     {!Semantics.joint} (or {!Semantics.joint_with_aux}), in the same
     order, with the same exact weights, with each input, aux value and
-    transcript numbered. {!external_ic}, {!conditional_ic} and
-    {!transcript_entropy} add the same float terms in the same order as
-    {!Infotheory.Measures} over those joints, so their results are
-    bit-identical to it. *)
+    transcript numbered. A row's weight is an integer mass over the
+    table's integer total, so every marginal is an integer sum.
+    {!external_ic}, {!conditional_ic} and {!transcript_entropy} add the
+    same float terms in the same order as {!Infotheory.Measures} over
+    those joints, so their results are bit-identical to it.
+
+    With a [memo], {!external_ic}, {!transcript_entropy} and
+    {!per_round_information} over one tree and one law share one table,
+    which the memo keeps ({!Semantics.kept}); the law must not be
+    mutated while the memo lives. {!conditional_ic}'s table is built per
+    call and not kept. *)
 
 val external_ic :
   ?memo:Semantics.memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t -> float

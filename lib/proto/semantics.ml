@@ -16,10 +16,25 @@ module Cross = Hashtbl.Make (struct
   let hash (n, x) = Hashtbl.hash (n, Hashtbl.hash x)
 end)
 
-type memo = Tree.transcript D.t Cross.t
+type kept = ..
 
-let memo () : memo = Cross.create 256
-let memo_size (m : memo) = Cross.length m
+(* [kept] holds one table over one input law, keyed on the tree's id and
+   the law's physical identity: a law is immutable once built, so the
+   same law at the same address is the same law. *)
+type memo = {
+  laws : Tree.transcript D.t Cross.t;
+  mutable kept : (int * Obj.t * kept) option;
+}
+
+let memo () = { laws = Cross.create 256; kept = None }
+let memo_size m = Cross.length m.laws
+
+let kept m tree law =
+  match m.kept with
+  | Some (id, l, k) when id = Tree.id tree && l == Obj.repr law -> Some k
+  | _ -> None
+
+let keep m tree law k = m.kept <- Some (Tree.id tree, Obj.repr law, k)
 
 (** [transcript_dist tree inputs] is the exact law of the full transcript
     when player [i] holds [inputs.(i)].
@@ -45,7 +60,7 @@ let transcript_dist ?memo tree inputs =
   let find_shared key =
     match memo with
     | None -> None
-    | Some tbl -> Cross.find_opt tbl (key, xkey)
+    | Some m -> Cross.find_opt m.laws (key, xkey)
   in
   match find_shared (Tree.id tree) with
   | Some d -> d (* a law already shared costs no per-call table *)
@@ -53,7 +68,7 @@ let transcript_dist ?memo tree inputs =
       let add_shared key d =
         match memo with
         | None -> ()
-        | Some tbl -> Cross.replace tbl (key, xkey) d
+        | Some m -> Cross.replace m.laws (key, xkey) d
       in
       let local = Tree.Tbl.create 64 in
       let rec go tree =
@@ -94,9 +109,44 @@ let output_dist tree inputs =
   D.map (Tree.output_of tree) (transcript_dist tree inputs)
 
 (** Exact probability that the protocol errs on fixed [inputs] against
-    the reference function [f]. *)
+    the reference function [f]: [P(output <> f inputs)] under the output
+    law, without building it. One walk of the nodes the emit laws reach
+    (each node once, as [transcript_dist] shares a DAG's subtrees) gives
+    every node the exact mass of the paths below it and of those among
+    them that end at a leaf other than [f inputs]; the error is their
+    ratio at the root, divided out only when the mass is not one, as
+    the output law's renormalization divides. A piece of non-positive
+    weight adds nothing, as the output law drops such paths (the same
+    thing whenever weights are non-negative, as in every law
+    [Prob.Dist_exact] builds). *)
 let error_on tree ~f inputs =
-  D.prob (output_dist tree inputs) (fun v -> v <> f inputs)
+  let want = f inputs and local = Tree.Tbl.create 16 in
+  let add a b = if R.is_zero a then b else R.add a b in
+  let rec go = function
+    | Tree.Output { value; _ } ->
+        ((if value <> want then R.one else R.zero), R.one)
+    | Tree.Speak { speaker; emit; children; id } ->
+        node id (emit inputs.(speaker)) children
+    | Tree.Chance { coin; children; id } -> node id coin children
+  and node id law children =
+    match Tree.Tbl.find_opt local id with
+    | Some p -> p
+    | None ->
+        let p =
+          List.fold_left
+            (fun (wrong, all) (m, w) ->
+              let wrong', all' = go children.(m) in
+              if R.sign w <= 0 then (wrong, all)
+              else if R.is_one w then (add wrong wrong', add all all')
+              else (add wrong (R.mul w wrong'), add all (R.mul w all')))
+            (R.zero, R.zero) (D.to_alist law)
+        in
+        Tree.Tbl.add local id p;
+        p
+  in
+  let wrong, all = go tree in
+  if R.sign all <= 0 then invalid_arg "Dist.of_weighted: no positive mass";
+  if R.is_one all then wrong else R.div wrong all
 
 (** Worst-case error over an explicit list of inputs (for total functions
     this is the whole domain; for promise problems, the promise set). *)
@@ -141,3 +191,8 @@ let expected_bits ?memo tree mu =
 let all_bit_inputs k =
   List.init (1 lsl k) (fun code ->
       Array.init k (fun i -> (code lsr i) land 1))
+
+module For_testing = struct
+  let error_on_ref tree ~f inputs =
+    D.prob (output_dist tree inputs) (fun v -> v <> f inputs)
+end

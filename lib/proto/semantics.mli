@@ -11,11 +11,27 @@ type memo
     tree node's {!Tree.id} plus the structural input profile — one law is
     computed once per (node, inputs) pair no matter how many sweeps
     revisit it. Sound because a law is a function of exactly that pair.
-    Not thread-safe: share within one domain only. *)
+    It also keeps one table derived from those laws over one input law
+    ({!kept}). Not thread-safe: share within one domain only. *)
 
 val memo : unit -> memo
 val memo_size : memo -> int
 (** Number of cached (node, inputs) laws — observability for benches. *)
+
+type kept = ..
+(** A table derived from the laws over one input law, kept in a memo
+    next to them; {!Information} adds its int-coded joint table. *)
+
+val kept : memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t -> kept option
+(** [kept memo tree mu] is the table {!keep} last stored in [memo], if
+    it was stored for this tree (its {!Tree.id}) and this very law
+    (physical identity). A memo keeps one table and drops it with the
+    memo. Sound only while [mu] is not mutated: a law passed with a
+    memo must stay as it was built. *)
+
+val keep : memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t -> kept -> unit
+(** [keep memo tree mu t] stores [t] for [tree] and [mu], replacing the
+    table kept before. *)
 
 val transcript_dist :
   ?memo:memo -> 'a Tree.t -> 'a array -> Tree.transcript Prob.Dist_exact.t
@@ -29,7 +45,12 @@ val transcript_dist :
 val output_dist : 'a Tree.t -> 'a array -> int Prob.Dist_exact.t
 
 val error_on : 'a Tree.t -> f:('a array -> int) -> 'a array -> Exact.Rational.t
-(** Probability that the protocol's output differs from [f inputs]. *)
+(** Probability that the protocol's output differs from [f inputs]:
+    the exact mass of the paths that reach a wrong leaf over the mass of
+    all paths, summed per node of one walk of the tree (the output law
+    is not built). Equal, as a rational, to [D.prob (output_dist tree
+    inputs) (fun v -> v <> f inputs)].
+    @raise Invalid_argument when no path has positive mass. *)
 
 val worst_case_error :
   'a Tree.t -> f:('a array -> int) -> 'a array list -> Exact.Rational.t
@@ -67,3 +88,12 @@ val expected_bits :
 val all_bit_inputs : int -> int array list
 (** All [2^k] bit-vectors of length [k] — the input domain of the
     one-bit problems. *)
+
+(** {1 Testing hooks} *)
+
+module For_testing : sig
+  val error_on_ref :
+    'a Tree.t -> f:('a array -> int) -> 'a array -> Exact.Rational.t
+  (** {!error_on} as the mass of the wrong outputs under
+      {!output_dist}, the formula it replaces. *)
+end

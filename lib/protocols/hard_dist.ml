@@ -51,31 +51,35 @@ let and_mass ~k ~p_zero c =
     zeros unsurprising. The paper's [1/k] balances the two; the E1b
     ablation sweeps this.
 
-    Given [Z = z] the other [k - 1] bits are iid, so their code [r] has
-    one law for every [z], with one of [k] weights per zero count, and
-    [X] is [r] with a zero inserted at [z]. Ascending [r] is ascending
-    input code: the atoms come by [z], then by input code. *)
+    Given [Z = z] the other [k - 1] bits are iid, so an atom's weight
+    is [P(Z = z)] times one of [k] masses, one per zero count of the
+    other bits' code [r], and [X] is [r] with a zero inserted at [z].
+    The atoms come by [z], then by ascending [r] (ascending input
+    code); codes of weight zero are left out, as [D.of_weighted] drops
+    them. The weights sum to exactly one. *)
 let mu_and_with_aux_p ~k ~p_zero =
   check_p ~fn:"mu_and_with_aux_p" ~k p_zero;
-  let p_one = R.sub R.one p_zero in
+  let p_one = R.sub R.one p_zero and pz = R.of_ints 1 k in
   let weight =
-    Array.init k (fun c -> R.mul (R.pow p_zero c) (R.pow p_one (k - 1 - c)))
+    Array.init k (fun c ->
+        R.mul pz (R.mul (R.pow p_zero c) (R.pow p_one (k - 1 - c))))
   in
-  let others =
-    D.of_weighted
-      (List.init (1 lsl (k - 1)) (fun r -> (r, weight.(zeros ~k:(k - 1) r))))
+  let codes =
+    Array.of_list
+      (List.filter
+         (fun r -> R.sign weight.(zeros ~k:(k - 1) r) > 0)
+         (List.init (1 lsl (k - 1)) Fun.id))
   in
-  D.bind_disjoint
-    (D.uniform (List.init k Fun.id))
-    (fun z ->
-      D.map_injective
-        (fun r ->
-          ( Array.init k (fun i ->
-                if i < z then (r lsr i) land 1
-                else if i = z then 0
-                else (r lsr (i - 1)) land 1),
-            z ))
-        others)
+  let m = Array.length codes in
+  D.of_distinct
+    (Array.init (k * m) (fun a ->
+         let z = a / m and r = codes.(a mod m) in
+         ( ( Array.init k (fun i ->
+                 if i < z then (r lsr i) land 1
+                 else if i = z then 0
+                 else (r lsr (i - 1)) land 1),
+             z ),
+           weight.(zeros ~k:(k - 1) r) )))
 
 (** The full joint law of [(X, Z)] for the Section 4.1 distribution:
     the [p_zero = 1/k] instance of {!mu_and_with_aux_p}. *)

@@ -287,6 +287,246 @@ let t_bad_laws () =
   raises "per-round, negative mass" (fun () ->
       Info.per_round_information tree (raw_dist [ ([| 1; 0 |], R.of_int (-1)) ]))
 
+(* ------------------------------------------------------------------ *)
+(* The error without transcript laws.                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference functions: AND, and a parity on which the deterministic
+   AND protocols err. *)
+let error_fns =
+  [ ("AND", HD.and_fn); ("parity", Array.fold_left ( lxor ) 0) ]
+
+(* [error_on] on every input and [worst_case_error] over them, equal as
+   rationals to the output-law formula they replace. *)
+let check_errors name tree ~k =
+  let inputs = Sem.all_bit_inputs k in
+  List.iter
+    (fun (fname, f) ->
+      let worst =
+        List.fold_left
+          (fun worst x ->
+            let got = Sem.error_on tree ~f x
+            and want = Sem.For_testing.error_on_ref tree ~f x in
+            if not (R.equal got want) then
+              Alcotest.failf "error_on %s on %s at %s: got %s, want %s" fname
+                name
+                (String.concat "" (Array.to_list (Array.map string_of_int x)))
+                (R.to_string got) (R.to_string want);
+            R.max worst want)
+          R.zero inputs
+      in
+      let got = Sem.worst_case_error tree ~f inputs in
+      if not (R.equal got worst) then
+        Alcotest.failf "worst_case_error %s on %s: got %s, want %s" fname name
+          (R.to_string got) (R.to_string worst))
+    error_fns
+
+let prop_error_on =
+  qtest "error_on, worst_case_error = the output-law formula" ~count:60
+    QCheck.small_nat (fun seed ->
+      let tname, k, tree = tree_of_seed seed in
+      check_errors tname tree ~k;
+      true)
+
+(* A DAG: both messages of a randomized root lead to one shared node,
+   whose emit laws have mass 5/6 and 1 ([raw_tree]'s). *)
+let dag_tree () =
+  let shared =
+    T.speak_unguarded ~speaker:1
+      ~emit:(fun b ->
+        if b = 0 then
+          raw_dist
+            [ (0, R.of_ints 1 3); (1, R.of_ints 1 3); (0, R.of_ints 1 6) ]
+        else raw_dist [ (1, R.half); (0, R.zero); (0, R.half) ])
+      [| T.output 0; T.output 1 |]
+  in
+  T.speak ~speaker:0
+    ~emit:(fun b ->
+      D.of_weighted [ (0, R.of_ints (1 + b) 4); (1, R.of_ints (3 - b) 4) ])
+    [| shared; T.chance ~coin:(D.uniform [ 0; 1 ]) [| shared; T.output 1 |] |]
+
+let t_error_families () =
+  for k = 2 to 7 do
+    List.iter
+      (fun (tname, tree) -> check_errors (Printf.sprintf "%s k=%d" tname k) tree ~k)
+      [ ("sequential", AP.sequential k); ("broadcast-all", AP.broadcast_all k);
+        ("noisy 1/10", AP.noisy_sequential ~k ~noise:(R.of_ints 1 10));
+        ("noisy 3/10", AP.noisy_sequential ~k ~noise:(R.of_ints 3 10)) ]
+  done;
+  for k = 2 to 5 do
+    check_errors (Printf.sprintf "noisy 0.05 k=%d" k)
+      (AP.noisy_sequential ~k ~noise:(R.of_float_dyadic 0.05)) ~k
+  done;
+  check_errors "raw emit laws" (raw_tree ()) ~k:2;
+  check_errors "DAG with raw emit laws" (dag_tree ()) ~k:2;
+  for seed = 0 to 19 do
+    let rng = Prob.Rng.of_int_seed seed in
+    check_errors (Printf.sprintf "random tree seed %d" seed)
+      (Test_random_trees.random_tree ~rng ~k:3 ~depth:4) ~k:3
+  done;
+  (* No path of positive mass: both formulas refuse. *)
+  let dead =
+    T.speak_unguarded ~speaker:0
+      ~emit:(fun _ -> raw_dist [ (0, R.zero) ])
+      [| T.output 0 |]
+  in
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: no exception" name
+      | exception Invalid_argument _ -> ())
+    [ ("error_on", fun () -> Sem.error_on dead ~f:HD.and_fn [| 1; 1 |]);
+      ( "error_on_ref",
+        fun () -> Sem.For_testing.error_on_ref dead ~f:HD.and_fn [| 1; 1 |] ) ]
+
+(* ------------------------------------------------------------------ *)
+(* The kept table.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The four measures of one request, each as a float array. *)
+let four tree mu mu_xd =
+  [ ("IC", fun memo -> [| Info.external_ic ~memo tree mu |]);
+    ("CIC", fun memo -> [| Info.conditional_ic ~memo tree mu_xd |]);
+    ("H(T)", fun memo -> [| Info.transcript_entropy ~memo tree mu |]);
+    ("per-round", fun memo -> Info.per_round_information ~memo tree mu) ]
+
+let check_bits what got want =
+  if Array.length got <> Array.length want
+     || not (Array.for_all2 bit_equal got want)
+  then
+    Alcotest.failf "%s: got [%s], want [%s]" what
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") got)))
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") want)))
+
+(* The four measures on one memo, in list order and reversed, equal each
+   measure on a fresh memo, and both memos hold the same laws: those of
+   the inputs of [mu] and [mu_xd]. *)
+let check_kept name tree mu mu_xd =
+  let ms = four tree mu mu_xd in
+  let fresh = List.map (fun (m, f) -> (m, f (Sem.memo ()))) ms in
+  let run order =
+    let memo = Sem.memo () in
+    List.iter
+      (fun (m, f) ->
+        check_bits (Printf.sprintf "%s on %s, shared memo" m name) (f memo)
+          (List.assoc m fresh))
+      order;
+    Sem.memo_size memo
+  in
+  let forward = run ms and backward = run (List.rev ms) in
+  let laws = Sem.memo () in
+  List.iter (fun (x, _) -> ignore (Sem.transcript_dist ~memo:laws tree x))
+    (D.to_alist mu);
+  List.iter
+    (fun ((x, _), _) -> ignore (Sem.transcript_dist ~memo:laws tree x))
+    (D.to_alist mu_xd);
+  Alcotest.(check int) (name ^ ": memo size, both orders") forward backward;
+  Alcotest.(check int) (name ^ ": memo size = the inputs' laws")
+    (Sem.memo_size laws) forward
+
+let t_kept_table () =
+  for k = 2 to 6 do
+    List.iter
+      (fun (tname, tree) ->
+        let name = Printf.sprintf "%s k=%d" tname k in
+        check_kept name tree (HD.mu_and ~k) (HD.mu_and_with_aux ~k);
+        check_kept (name ^ ", uniform") tree
+          (D.uniform (Sem.all_bit_inputs k))
+          (HD.mu_and_with_aux_p ~k ~p_zero:R.half))
+      [ ("sequential", AP.sequential k); ("broadcast-all", AP.broadcast_all k);
+        ("noisy 1/10", AP.noisy_sequential ~k ~noise:(R.of_ints 1 10)) ]
+  done;
+  (* One memo across two laws and two trees: a table is reused only for
+     its own tree and law. *)
+  let k = 4 in
+  let mu = HD.mu_and ~k and uniform = D.uniform (Sem.all_bit_inputs k) in
+  let seq = AP.sequential k and bcast = AP.broadcast_all k in
+  let memo = Sem.memo () in
+  List.iter
+    (fun (what, f) ->
+      check_bits what (f (Some memo)) (f None))
+    [ ("IC seq mu", fun memo -> [| Info.external_ic ?memo seq mu |]);
+      ("IC seq uniform", fun memo -> [| Info.external_ic ?memo seq uniform |]);
+      ("H(T) seq mu", fun memo -> [| Info.transcript_entropy ?memo seq mu |]);
+      ("IC bcast mu", fun memo -> [| Info.external_ic ?memo bcast mu |]);
+      ( "per-round seq uniform",
+        fun memo -> Info.per_round_information ?memo seq uniform );
+      ("H(T) bcast uniform",
+        fun memo -> [| Info.transcript_entropy ?memo bcast uniform |]);
+      ("IC seq mu again", fun memo -> [| Info.external_ic ?memo seq mu |]) ]
+
+(* ------------------------------------------------------------------ *)
+(* Masses past the native range and at the 2^53 edge.                  *)
+(* ------------------------------------------------------------------ *)
+
+let check_vs_measures name tree mu mu_xd =
+  check_bits ("IC on " ^ name) [| Info.external_ic tree mu |]
+    [| ref_external_ic tree mu |];
+  check_bits ("H(T) on " ^ name) [| Info.transcript_entropy tree mu |]
+    [| ref_transcript_entropy tree mu |];
+  check_bits ("CIC on " ^ name) [| Info.conditional_ic tree mu_xd |]
+    [| ref_conditional_ic tree mu_xd |];
+  let got = Info.per_round_information tree mu
+  and want = ref_per_round tree mu in
+  Alcotest.(check int) (name ^ ": rounds") (Array.length want)
+    (Array.length got);
+  Array.iteri
+    (fun j g ->
+      if Float.abs (g -. want.(j)) > 1e-12 then
+        Alcotest.failf "%s: round %d is %h, want %h" name j g want.(j))
+    got
+
+(* Dyadic noise 0.05 (a 56-bit denominator per message) takes the row
+   masses far past 2^62. *)
+let t_big_masses () =
+  for k = 2 to 6 do
+    let tree = AP.noisy_sequential ~k ~noise:(R.of_float_dyadic 0.05) in
+    let name = Printf.sprintf "noisy 0.05 k=%d" k in
+    check_vs_measures name tree (HD.mu_and ~k) (HD.mu_and_with_aux ~k);
+    if k <= 4 then
+      List.iter
+        (fun ((lname, mu), (aname, mu_xd)) ->
+          check_vs_measures (name ^ ", " ^ lname ^ ", " ^ aname) tree mu mu_xd)
+        (List.combine
+           (List.filteri (fun i _ -> i < 5) (input_laws k))
+           (List.filteri (fun i _ -> i < 5) (aux_laws k)))
+  done
+
+(* Laws over three inputs whose masses sit at 2^53. In the first the
+   lcm is 3 * 2^52: the mass 3 (2^52 - 1) of the first atom over it is
+   not a float, while its canonical ratio (2^52 - 1) / 2^52 is exact,
+   so only the rational gets the canonical float. *)
+let edge_laws =
+  let p52 = 1 lsl 52 and p53 = 1 lsl 53 in
+  let three a b =
+    let x = Sem.all_bit_inputs 2 in
+    let c = R.sub R.one (R.add a b) in
+    D.of_weighted
+      [ (List.nth x 0, a); (List.nth x 1, b); (List.nth x 3, c) ]
+  in
+  [ ("lcm 3 * 2^52", three (R.of_ints (p52 - 1) p52) (R.of_ints 1 (3 * p52)));
+    ("lcm 2^53 - 1", three (R.of_ints p52 (p53 - 1)) (R.of_ints 1 (p53 - 1)));
+    ("lcm 2^53", three (R.of_ints (p52 + 1) p53) (R.of_ints 3 p53));
+    ("lcm 2^53 + 1", three (R.of_ints p52 (p53 + 1)) (R.of_ints 7 (p53 + 1)));
+    ( "raw: mass (2^53 + 3) / 2^53",
+      raw_dist
+        (List.map2
+           (fun x w -> (x, w))
+           (Sem.all_bit_inputs 2)
+           [ R.of_ints (p52 + 1) p53; R.of_ints 1 p53; R.of_ints p52 p53;
+             R.of_ints 1 p53 ]) ) ]
+
+let t_edge_masses () =
+  List.iter
+    (fun (lname, mu) ->
+      let mu_xd = D.map_injective (fun x -> (x, x.(0))) mu in
+      List.iter
+        (fun (tname, tree) ->
+          check_vs_measures (tname ^ ", " ^ lname) tree mu mu_xd)
+        [ ("sequential", AP.sequential 2); ("broadcast-all", AP.broadcast_all 2);
+          ("noisy 1/10", AP.noisy_sequential ~k:2 ~noise:(R.of_ints 1 10)) ])
+    edge_laws
+
 let items d = D.to_alist d
 
 let check_same_law ~msg eq want got =
@@ -396,6 +636,11 @@ let suite =
     quick "CIC bit-equal on the AND families, k = 2..5" t_cic_families;
     quick "laws without positive mass are refused" t_bad_laws;
     quick "Section-4.1 laws equal the per-player construction" t_laws_equal;
+    prop_error_on;
+    quick "error_on on the AND families, raw laws, a DAG" t_error_families;
+    quick "kept tables: orders, laws and trees on one memo" t_kept_table;
+    quick "measures on masses past 2^62 = Measures" t_big_masses;
+    quick "measures on masses at 2^53 = Measures" t_edge_masses;
     prop_orbit_log_factor;
     quick "orbit log factors on the AND families, k = 6..12"
       t_orbit_log_factor_families;
