@@ -505,22 +505,27 @@ let sim_alloc_regression () =
     "netsim queue, warm wave of %d messages: %.2f minor words per message"
     delivered words
 
-(* Allocation guard for the async board: minor words per network
-   message of one warm [Board_emu.run] of and/bcast at k = 12, f = 1, no
-   fault (12 slots, 3,300 messages), with the hosted value built before
-   the count. A message that crosses no RBC threshold allocates only its
-   [Sim] envelope; the rest is each fan-out's encode and decode, spread
-   over its k - 1 messages. String-keyed votes and a closure per
-   delivery read 33.1. *)
+(* Allocation guards for the async board, over one warm [Board_emu.run]
+   of and/bcast at k = 12, f = 1, no fault (12 slots, 3,300 messages),
+   with the hosted value built before the count. (a) Minor words per
+   network message: a message that crosses no RBC threshold allocates
+   only its [Sim] envelope, and the rest is the wave's encodes, decodes
+   and action lists, ~11 words in all. String-keyed votes and a closure
+   per delivery read 33.1, and an encode and a decode per fan-out ~14.
+   (b) Bitbuf writers per board slot: the payload and one wire per
+   distinct (phase, value), 4; one wire per fan-out read 26. Both are
+   deterministic counts. *)
 let emu_alloc_regression () =
   let module Reg = Protocols.Registry in
   let module Emu = Netsim.Board_emu in
+  let module W = Coding.Bitbuf.Writer in
   let entry =
     Reg.entry ~name:"micro/and-bcast-k12" ~players:12 ~domain:[| 0; 1 |]
       (lazy (Protocols.And_protocols.broadcast_all 12))
   in
   let run seed =
     let h = Reg.hosted entry ~seed in
+    let writers = (W.stats ()).W.writers in
     let before = Gc.minor_words () in
     let out =
       Emu.run ~k:h.Reg.k ~schedule:h.Reg.schedule ~players:h.Reg.players
@@ -528,19 +533,23 @@ let emu_alloc_regression () =
         ()
     in
     let words = Gc.minor_words () -. before in
+    let writers = (W.stats ()).W.writers - writers in
     match out with
-    | Ok (Emu.Delivered { stats; _ }) ->
-        (words /. float_of_int stats.Emu.net_messages, stats.Emu.net_messages)
+    | Ok (Emu.Delivered { stats; writes; _ }) ->
+        ( words /. float_of_int stats.Emu.net_messages,
+          stats.Emu.net_messages,
+          float_of_int writers /. float_of_int writes )
     | _ -> failwith "emu_alloc_regression: the fault-free run must deliver"
   in
   ignore (run 1);
-  let words, messages = run 2 in
-  assert (words < 20.0);
+  let words, messages, wires = run 2 in
+  assert (words < 20.0 && wires < 8.0);
   Exp_util.record_f "emu_words_per_msg" words;
+  Exp_util.record_f "emu_wires_per_slot" wires;
   Exp_util.note
     "async board, and/bcast k=12 f=1, warm run of %d messages: %.2f minor \
-     words per message"
-    messages words
+     words per message, %.1f Bitbuf writers per slot"
+    messages words wires
 
 (* Allocation guard for [Prob.Rng]: minor words per [Rng.int] draw over
    100,000 draws. The state is one [Bytes] and the rejection loop a
@@ -576,6 +585,28 @@ let depgraph_alloc_regression () =
   Exp_util.note
     "depgraph, and/bcast k=10 (%d nodes): %.1f minor words per node" nodes
     words
+
+(* Allocation guard for the information certifier: minor words per leaf
+   of one warm [Infoflow.analyze] of and/bcast at k = 12 (4,096 leaves).
+   Each distinct weight row is summarized once, at the [Speak] node that
+   first builds it, and a leaf adds k of those summaries: ~385.
+   Recomputing each row's sum and KL bracket at every (leaf, player)
+   pair read ~1,133; the gate sits at two thirds of that. A
+   deterministic count. *)
+let infoflow_alloc_regression () =
+  let tree = Protocols.And_protocols.broadcast_all 12 in
+  let analyze () = Analysis.Infoflow.analyze ~domain:[| 0; 1 |] tree in
+  ignore (analyze ());
+  let before = Gc.minor_words () in
+  let a = Sys.opaque_identity (analyze ()) in
+  let leaves = List.length a.Analysis.Infoflow.leaves in
+  let words = (Gc.minor_words () -. before) /. float_of_int leaves in
+  assert (a.Analysis.Infoflow.sound && words < 760.0);
+  Exp_util.record_f "infoflow_words_per_leaf" words;
+  Exp_util.note
+    "infoflow, and/bcast k=12 (%d leaves), warm run: %.0f minor words per \
+     leaf"
+    leaves words
 
 (* Allocation guard for the discrepancy sweep: minor words per product
    rectangle of one exact [Discrepancy.disc] on uniform AND_8 (3^8
@@ -652,4 +683,5 @@ let run () =
   emu_alloc_regression ();
   rng_alloc_regression ();
   depgraph_alloc_regression ();
+  infoflow_alloc_regression ();
   disc_alloc_regression ()

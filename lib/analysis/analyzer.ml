@@ -16,13 +16,6 @@ type config = {
   state_budget : int;  (** node budget for exact-semantics estimates *)
 }
 
-let default_config =
-  {
-    players = None;
-    declared_cost = None;
-    state_budget = Rules.default_state_budget;
-  }
-
 let analyze_with config ~domain tree =
   if Array.length domain = 0 then
     invalid_arg "Analysis.Analyzer.analyze: empty domain";

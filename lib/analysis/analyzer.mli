@@ -9,8 +9,6 @@ type config = {
   state_budget : int;  (** node budget for exact-semantics estimates *)
 }
 
-val default_config : config
-
 val analyze_with : config -> domain:'a array -> 'a Proto.Tree.t -> Report.t
 (** @raise Invalid_argument on an empty domain. *)
 

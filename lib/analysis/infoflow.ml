@@ -37,6 +37,14 @@
                 * sum_v mu(v) w_{l,j}(v) log2 (w_{l,j}(v) / s_{l,j})]
 
     and each inner sum is a Kullback-Leibler form, hence non-negative.
+    A (leaf, player) term is [mass_l] times a factor that depends only
+    on the row [w_{l,j}]: its coefficient is [mass_l / s_{l,j}]. A row
+    is built once, at the [Speak] node that refines it, and shared by
+    every leaf below, so each distinct row is summarized once, as [s],
+    [lo = max(0, KL_lo) / s] and [hi = KL_hi / s], and each leaf adds
+    [mass_l * sum_j lo_j] and [mass_l * sum_j hi_j]. In exact
+    rationals that is the per-(leaf, player) sum term for term, so no
+    bound moves.
     Every quantity except the [log2] is an exact rational; bracketing
     each logarithm with {!Infotheory.Rlog} (all coefficients are
     non-negative, and the inner sums may additionally be clamped at 0)
@@ -78,8 +86,6 @@ let pp_bound fmt { lo; hi } =
   Format.fprintf fmt "[%s, %s]" (R.to_string lo) (R.to_string hi)
 
 let bound_to_string b = Format.asprintf "%a" pp_bound b
-let bound_width { lo; hi } = R.sub hi lo
-let mem_bound x { lo; hi } = R.compare lo x <= 0 && R.compare x hi <= 0
 
 type leaf = {
   leaf_path : Path.t;
@@ -140,13 +146,14 @@ let soundness_reason a =
          (R.to_string a.total_mass))
   else None
 
-(* Rlog calls dominate the post-walk arithmetic and the same ratios
-   recur across leaves (deterministic subtrees yield few distinct
-   ratios), so memoize per analysis. The rational itself is the key:
-   [Rational] keeps one representation per value (small when it fits,
-   big otherwise), so structural hashing and equality agree with
-   numeric equality, as in [Prob.Dist_core]. A value that did break
-   that invariant would only miss and recompute the same bounds. *)
+(* Rlog calls dominate the row summaries and the leaf entropies, and
+   the same ratios recur across rows and leaves (deterministic subtrees
+   yield few distinct ratios), so memoize per analysis. The rational
+   itself is the key: [Rational] keeps one representation per value
+   (small when it fits, big otherwise), so structural hashing and
+   equality agree with numeric equality, as in [Prob.Dist_core]. A
+   value that did break that invariant would only miss and recompute
+   the same bounds. *)
 let memoized_log2_bounds ~prec =
   let memo = Hashtbl.create 64 in
   fun x ->
@@ -156,6 +163,11 @@ let memoized_log2_bounds ~prec =
         let b = L.log2_bounds ~prec x in
         Hashtbl.add memo x b;
         b
+
+(* One player's weight row [w(v)] with its summary: [s = sum_v mu(v)
+   w(v)], and the row's KL bracket divided by [s] (both 0 when [s] is,
+   as every leaf holding such a row has mass 0). *)
+type row = { w : R.t array; s : R.t; lo : R.t; hi : R.t }
 
 let analyze ?(budget = Absint.default_budget) ?players
     ?(prec = default_prec) ?mu ~domain tree =
@@ -179,10 +191,43 @@ let analyze ?(budget = Absint.default_budget) ?players
   in
   let players = walk.players in
   let struct_max = T.communication_cost tree in
-  (* Raw leaves carry the per-player weight vectors; masses and bounds
-     are derived after the walk. *)
+  let log2_bounds = memoized_log2_bounds ~prec in
+  (* Rows recur across the tree (a deterministic speaker's rows are
+     point masses), so they are interned by content, like the log
+     bounds above: each distinct row is summarized once, and equal
+     rows share one record. *)
+  let summaries = Hashtbl.create 64 in
+  let summarize w =
+    match Hashtbl.find_opt summaries w with
+    | Some r -> r
+    | None ->
+        let a =
+          Array.mapi
+            (fun v wv ->
+              if R.sign wv > 0 && R.sign mu.(v) > 0 then R.mul mu.(v) wv
+              else R.zero)
+            w
+        in
+        let s = Array.fold_left R.add R.zero a in
+        let lo = ref R.zero and hi = ref R.zero in
+        Array.iteri
+          (fun v av ->
+            if R.sign av > 0 then begin
+              let llo, lhi = log2_bounds (R.div w.(v) s) in
+              lo := R.add !lo (R.mul av llo);
+              hi := R.add !hi (R.mul av lhi)
+            end)
+          a;
+        (* the KL form is truly >= 0; a row with [s = 0] has no term *)
+        let per x = if R.is_zero s then R.zero else R.div x s in
+        let r = { w; s; lo = per (R.max R.zero !lo); hi = per !hi } in
+        Hashtbl.add summaries w r;
+        r
+  in
+  (* Raw leaves carry the per-player rows; masses and bounds are
+     derived after the walk. *)
   let raw_leaves = ref [] in
-  let init_w = Array.init players (fun _ -> Array.make d R.one) in
+  let init_w = Array.make players (summarize (Array.make d R.one)) in
   let rec go path w cm bits t =
     if Walk.tick walk then
       match t with
@@ -210,7 +255,7 @@ let analyze ?(budget = Absint.default_budget) ?players
           (* Per-symbol weight row for the speaker; other players' rows
              are unchanged and shared (rows are immutable once built).
              An input whose law fails is dropped from every row. *)
-          let row = w.(speaker) in
+          let row = w.(speaker).w in
           let rows = Array.init arity (fun _ -> Array.make d R.zero) in
           let any = Array.make arity false in
           ignore
@@ -223,7 +268,7 @@ let analyze ?(budget = Absint.default_budget) ?players
             (fun m c ->
               if any.(m) then begin
                 let w' = Array.copy w in
-                w'.(speaker) <- rows.(m);
+                w'.(speaker) <- summarize rows.(m);
                 go (Path.child path m) w' cm (bits + charge) c
               end)
             children
@@ -232,7 +277,6 @@ let analyze ?(budget = Absint.default_budget) ?players
   if Obs.Metrics.enabled () && walk.widened then
     Obs.Metrics.bump "infoflow.widenings" 1;
   (* ---------------- derive masses and bounds ---------------- *)
-  let log2_bounds = memoized_log2_bounds ~prec in
   let total_mass = ref R.zero
   and max_leaf_mass = ref R.zero
   and expected_bits = ref R.zero
@@ -242,20 +286,7 @@ let analyze ?(budget = Absint.default_budget) ?players
   let leaves =
     List.rev_map
       (fun (leaf_path, output, bits, cm, w) ->
-        let s =
-          Array.init players (fun i ->
-              let acc = ref R.zero in
-              Array.iteri
-                (fun v wv ->
-                  if R.sign wv > 0 && R.sign mu.(v) > 0 then
-                    acc := R.add !acc (R.mul mu.(v) wv))
-                w.(i);
-              !acc)
-        in
-        let mass =
-          if Array.exists R.is_zero s then R.zero
-          else Array.fold_left R.mul cm s
-        in
+        let mass = Array.fold_left (fun m r -> R.mul m r.s) cm w in
         if R.sign mass > 0 then begin
           total_mass := R.add !total_mass mass;
           max_leaf_mass := R.max !max_leaf_mass mass;
@@ -263,25 +294,14 @@ let analyze ?(budget = Absint.default_budget) ?players
           let hlo, _ = log2_bounds mass in
           (* log2_hi (1/mass) = -(log2_lo mass), avoiding an inversion *)
           entropy_hi := R.sub !entropy_hi (R.mul mass hlo);
-          for j = 0 to players - 1 do
-            (* coefficient cm * prod_{i<>j} s_i, as mass / s_j *)
-            let coeff = R.div mass s.(j) in
-            let inner_lo = ref R.zero
-            and inner_hi = ref R.zero in
-            Array.iteri
-              (fun v wv ->
-                if R.sign wv > 0 && R.sign mu.(v) > 0 then begin
-                  let a = R.mul mu.(v) wv in
-                  let llo, lhi = log2_bounds (R.div wv s.(j)) in
-                  inner_lo := R.add !inner_lo (R.mul a llo);
-                  inner_hi := R.add !inner_hi (R.mul a lhi)
-                end)
-              w.(j);
-            (* the inner sum is a KL form, hence truly >= 0 *)
-            let inner_lo = R.max R.zero !inner_lo in
-            ext_lo := R.add !ext_lo (R.mul coeff inner_lo);
-            ext_hi := R.add !ext_hi (R.mul coeff !inner_hi)
-          done
+          let lo = ref R.zero and hi = ref R.zero in
+          Array.iter
+            (fun r ->
+              lo := R.add !lo r.lo;
+              hi := R.add !hi r.hi)
+            w;
+          ext_lo := R.add !ext_lo (R.mul mass !lo);
+          ext_hi := R.add !ext_hi (R.mul mass !hi)
         end;
         { leaf_path; output; bits; mass })
       !raw_leaves

@@ -16,8 +16,6 @@ type bound = { lo : R.t; hi : R.t }
 
 val pp_bound : Format.formatter -> bound -> unit
 val bound_to_string : bound -> string
-val bound_width : bound -> R.t
-val mem_bound : R.t -> bound -> bool
 
 type leaf = {
   leaf_path : Path.t;

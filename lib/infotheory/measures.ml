@@ -27,8 +27,6 @@ module Make (W : Prob.Weight.S) = struct
            else fp *. Fn.log2 (fp /. fq))
          (D.to_alist p))
 
-  let cross_entropy p q = entropy p +. kl p q
-
   (** [conditional_entropy j] is [H(A | B)] for a joint law of [(a, b)]. *)
   let conditional_entropy j =
     let mb = D.map snd j in

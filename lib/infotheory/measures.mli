@@ -16,8 +16,6 @@ module Make (W : Prob.Weight.S) : sig
   (** [kl p q] is [D(p || q)] (Definition 4); [infinity] if [p]'s
       support escapes [q]'s. *)
 
-  val cross_entropy : 'a D.t -> 'a D.t -> float
-
   val conditional_entropy : ('a * 'b) D.t -> float
   (** [H(A | B)] for a joint law of [(a, b)] (Definition 2). *)
 

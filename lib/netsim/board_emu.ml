@@ -42,9 +42,10 @@ let error_message = function
 (* Wire format: every point-to-point message is a real packed bit      *)
 (* string — 2-bit phase tag, gamma0 slot number, gamma0 payload        *)
 (* length, payload — so the measured overhead is the length of an      *)
-(* actual self-delimiting encoding. One wire goes to all peers of a     *)
-(* fan-out and is decoded once, on the receive path, by its first      *)
-(* delivery.                                                           *)
+(* actual self-delimiting encoding. Within a wave, each distinct       *)
+(* (slot, phase, value) is encoded once, at its first fan-out; later   *)
+(* fan-outs of the same value send that wire again. Each distinct wire *)
+(* is decoded once, on the receive path, by its first delivery.        *)
 (* ------------------------------------------------------------------ *)
 
 let encode ~slot phase value =
@@ -207,19 +208,39 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
             Array.init k (fun _ -> Rbc.create ~n:k ~f:config.f ~speaker ()))
           launches
       in
-      (* The wave's fan-outs, by the handle their messages carry: each
-         decodes its wire when first delivered. *)
-      let fanouts = ref [||] and n_fanouts = ref 0 in
-      let fan_out wire =
-        let decoded = lazy (decode wire) and h = !n_fanouts in
-        if h = Array.length !fanouts then begin
-          let grown = Array.make (max 16 (2 * h)) decoded in
-          Array.blit !fanouts 0 grown 0 h;
-          fanouts := grown
-        end;
-        !fanouts.(h) <- decoded;
-        n_fanouts := h + 1;
-        h
+      (* The wave's distinct wires. Each slot and phase keeps its values
+         as (value, (wire, handle)) in a short list scanned with
+         [Bitvec.equal], as [Rbc]'s vote cells are: an honest slot
+         carries one value and an equivocating speaker two. A value is
+         encoded and given a handle at its first fan-out; a message
+         carries the handle, and [decoded] decodes each wire when it is
+         first delivered. *)
+      let wires = Array.make (3 * Array.length launches) [] in
+      let decoded = ref [||] and n_wires = ref 0 in
+      let rec wire_in ~cell ~slot phase v = function
+        | (v', hit) :: rest ->
+            if Coding.Bitvec.equal v v' then hit
+            else wire_in ~cell ~slot phase v rest
+        | [] ->
+            let wire = encode ~slot phase v and h = !n_wires in
+            let d = lazy (decode wire) in
+            if h = Array.length !decoded then begin
+              let grown = Array.make (max 16 (2 * h)) d in
+              Array.blit !decoded 0 grown 0 h;
+              decoded := grown
+            end;
+            !decoded.(h) <- d;
+            n_wires := h + 1;
+            let hit = (wire, h) in
+            wires.(cell) <- (v, hit) :: wires.(cell);
+            hit
+      in
+      let wire_of ~slot phase v =
+        let cell =
+          (3 * (slot - wstart))
+          + match phase with Rbc.Send -> 0 | Rbc.Echo -> 1 | Rbc.Ready -> 2
+        in
+        wire_in ~cell ~slot phase v wires.(cell)
       in
       let traced = Obs.Trace.enabled () in
       (* Direct recursion: [List.iter] would take a closure over [slot]
@@ -242,14 +263,12 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
              (loopback); only cross-player traffic hits the wire. *)
           do_actions ~slot p
             (Rbc.handle machines.(slot - wstart).(p) ~from:p phase v);
-          let wire = encode ~slot phase v in
-          let h = fan_out wire in
+          let even = wire_of ~slot phase v in
           (* An equivocator's odd-indexed peers get a second wire. *)
-          let wire_odd, h_odd =
+          let odd =
             if phase = Rbc.Send && equivocator.(p) then
-              let alt = encode ~slot phase (corrupt v) in
-              (alt, fan_out alt)
-            else (wire, h)
+              wire_of ~slot phase (corrupt v)
+            else even
           in
           let dst = ref 0 in
           while !dst < k && not crashed.(p) do
@@ -257,10 +276,9 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
               if sends_by.(p) >= crash_budget.(p) then crashed.(p) <- true
               else begin
                 sends_by.(p) <- sends_by.(p) + 1;
-                let odd = !dst mod 2 = 1 in
-                let bits = Coding.Bitvec.length (if odd then wire_odd else wire) in
-                if Sim.send sim ~src:p ~dst:!dst ~bits (if odd then h_odd else h)
-                then begin
+                let wire, h = if !dst mod 2 = 1 then odd else even in
+                let bits = Coding.Bitvec.length wire in
+                if Sim.send sim ~src:p ~dst:!dst ~bits h then begin
                   net_bits := !net_bits + bits;
                   incr
                     (match phase with
@@ -296,7 +314,7 @@ let run ~k ~schedule ~players ?(max_writes = 1_000_000) ?cert ~config () =
       Sim.run sim ~deliver:(fun env ->
           let dst = env.Sim.dst in
           if not crashed.(dst) then begin
-            let phase, slot, value = Lazy.force !fanouts.(env.Sim.payload) in
+            let phase, slot, value = Lazy.force !decoded.(env.Sim.payload) in
             let i = slot - wstart in
             if i >= 0 && i < Array.length launches then
               do_actions ~slot dst

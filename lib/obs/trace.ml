@@ -1,7 +1,6 @@
 let current : Sink.t ref = ref Sink.null
 let seq = ref 0
 
-let set_sink s = current := s
 let sink () = !current
 let enabled () = not (Sink.is_null !current)
 

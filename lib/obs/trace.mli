@@ -9,7 +9,6 @@
     only while a sink is installed, so [seq] gaps never occur within
     one trace. *)
 
-val set_sink : Sink.t -> unit
 val sink : unit -> Sink.t
 
 val enabled : unit -> bool

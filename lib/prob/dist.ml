@@ -11,11 +11,6 @@ let variance d =
   let m = expectation d in
   expectation_with (fun x -> (x -. m) ** 2.) d
 
-let of_fun values f = of_weighted (List.map (fun v -> (v, f v)) values)
-
-let categorical weights =
-  of_weighted (List.mapi (fun i w -> (i, w)) (Array.to_list weights))
-
 let binomial n p =
   if n < 0 || p < 0. || p > 1. then invalid_arg "Dist.binomial";
   let choose = Array.make (n + 1) 1. in
@@ -32,18 +27,3 @@ let binomial n p =
 let geometric_truncated p n =
   if p <= 0. || p > 1. || n < 1 then invalid_arg "Dist.geometric_truncated";
   of_weighted (List.init n (fun k -> (k, p *. ((1. -. p) ** float_of_int k))))
-
-(* Inverse-CDF sampling; fine for one-off draws. Use {!Sampler} for
-   repeated draws from the same distribution. *)
-let sample rng d =
-  let u = Rng.float rng in
-  let items = to_alist d in
-  let rec go acc = function
-    | [] -> fst (List.hd (List.rev items))
-    | (v, w) :: rest ->
-        let acc = acc +. w in
-        if u < acc then v else go acc rest
-  in
-  go 0. items
-
-let sample_n rng d n = List.init n (fun _ -> sample rng d)

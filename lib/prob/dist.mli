@@ -33,15 +33,11 @@ val bernoulli : float -> bool t
 (** [bernoulli p] is [true] with probability [p].
     @raise Invalid_argument unless [0 <= p <= 1]. *)
 
-val categorical : float array -> int t
-(** Values are indices into the weight array. *)
-
 val binomial : int -> float -> int t
 val geometric_truncated : float -> int -> int t
 (** [geometric_truncated p n]: unnormalized geometric restricted to
     [\[0, n)] and renormalized. *)
 
-val of_fun : 'a list -> ('a -> float) -> 'a t
 
 (** {1 Monadic structure} *)
 
@@ -86,14 +82,6 @@ val expectation_with : ('a -> float) -> 'a t -> float
 val expectation : float t -> float
 val variance : float t -> float
 val total_variation : 'a t -> 'a t -> float
-
-(** {1 Sampling} *)
-
-val sample : Rng.t -> 'a t -> 'a
-(** Inverse-CDF; O(support) per draw. Prefer {!Sampler} for repeated
-    draws from one distribution. *)
-
-val sample_n : Rng.t -> 'a t -> int -> 'a list
 
 val pp :
   (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

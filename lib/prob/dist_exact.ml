@@ -10,9 +10,3 @@ include Dist_core.Make (Weight.Exact)
 let to_float_dist d =
   Dist.of_weighted
     (List.map (fun (v, w) -> (v, Exact.Rational.to_float w)) (to_alist d))
-
-let uniform_of_ratio values =
-  (* Uniform with exact 1/n weights. *)
-  uniform values
-
-let prob_float d pred = Exact.Rational.to_float (prob d pred)

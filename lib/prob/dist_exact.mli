@@ -49,5 +49,3 @@ val pp :
 val to_float_dist : 'a t -> 'a Dist.t
 (** Forget exactness (for sampling and float-side measurements). *)
 
-val uniform_of_ratio : 'a list -> 'a t
-val prob_float : 'a t -> ('a -> bool) -> float

@@ -35,8 +35,6 @@ let draw t rng =
   if Rng.float rng < t.prob.(col) then t.values.(col)
   else t.values.(t.alias.(col))
 
-let draw_n t rng n = Array.init n (fun _ -> draw t rng)
-
 (** Empirical distribution of [n] draws — used in tests to check the
     sampler against the source distribution. *)
 let empirical t rng n =

@@ -5,7 +5,6 @@ type 'a t
 
 val create : 'a Dist.t -> 'a t
 val draw : 'a t -> Rng.t -> 'a
-val draw_n : 'a t -> Rng.t -> int -> 'a array
 
 val empirical : 'a t -> Rng.t -> int -> 'a Dist.t
 (** Empirical distribution of [n] draws — for validating the sampler

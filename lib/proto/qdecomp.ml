@@ -89,28 +89,3 @@ let max_alpha t =
     if i = t.k then acc else go (i + 1) (Float.max acc (alpha_float t i))
   in
   go 0 0.
-
-(** Elementary symmetric-style sums used by eq. (7):
-    [sum_{i<j} alpha_i alpha_j] and [sum_{i<j<m} alpha_i alpha_j alpha_m].
-    Float-valued; [infinity] propagates. *)
-let alpha_pair_sum t =
-  let a = Array.init t.k (alpha_float t) in
-  let s = ref 0. in
-  for i = 0 to t.k - 1 do
-    for j = i + 1 to t.k - 1 do
-      s := !s +. (a.(i) *. a.(j))
-    done
-  done;
-  !s
-
-let alpha_triple_sum t =
-  let a = Array.init t.k (alpha_float t) in
-  let s = ref 0. in
-  for i = 0 to t.k - 1 do
-    for j = i + 1 to t.k - 1 do
-      for m = j + 1 to t.k - 1 do
-        s := !s +. (a.(i) *. a.(j) *. a.(m))
-      done
-    done
-  done;
-  !s

@@ -41,9 +41,3 @@ val alpha_sum : t -> float
     transcripts); [infinity] if any ratio is infinite. *)
 
 val max_alpha : t -> float
-
-val alpha_pair_sum : t -> float
-(** [sum_{i<j} alpha_i alpha_j] (left side of eq. 7, unnormalized). *)
-
-val alpha_triple_sum : t -> float
-(** [sum_{i<j<m} alpha_i alpha_j alpha_m] (right side of eq. 7). *)

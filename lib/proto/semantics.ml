@@ -175,10 +175,6 @@ let joint_with_aux ?memo tree mu_xd =
 (** Law of the transcript alone under [mu]. *)
 let transcript_law ?memo tree mu = D.map snd (joint ?memo tree mu)
 
-(** All transcripts that occur with positive probability under [mu]. *)
-let reachable_transcripts ?memo tree mu =
-  D.support (transcript_law ?memo tree mu)
-
 (** Expected communication cost (bits) under [mu] — contrast with the
     worst-case [Tree.communication_cost]. *)
 let expected_bits ?memo tree mu =

@@ -76,10 +76,6 @@ val transcript_law :
   ?memo:memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t ->
   Tree.transcript Prob.Dist_exact.t
 
-val reachable_transcripts :
-  ?memo:memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t ->
-  Tree.transcript list
-
 val expected_bits :
   ?memo:memo -> 'a Tree.t -> 'a array Prob.Dist_exact.t -> float
 (** Expected communication under [mu] (contrast with the worst-case

@@ -99,11 +99,6 @@ let two_copy_sequential k =
     tests as the degenerate zero-information point. *)
 let constant ~k:_ v = T.output v
 
-(** One-round "all speak simultaneously" is modelled as broadcast_all
-    (the blackboard model is sequential, but order does not matter when
-    everyone speaks unconditionally). *)
-let one_round = broadcast_all
-
 (** Operational (bit-accounted) run of the sequential protocol on a
     blackboard; used for large [k] where trees are beside the point. *)
 let run_sequential board inputs =

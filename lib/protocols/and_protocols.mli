@@ -15,9 +15,6 @@ val broadcast_all : int -> int Proto.Tree.t
 (** Every player writes its bit unconditionally: [IC = H(X)], the
     maximally leaky baseline. *)
 
-val one_round : int -> int Proto.Tree.t
-(** Alias of {!broadcast_all}. *)
-
 val truncated_sequential : k:int -> m:int -> int Proto.Tree.t
 (** Sequential, but only the first [m] players ever speak; outputs 1 if
     they all wrote 1. The Lemma-6 experiment's family: too few speakers

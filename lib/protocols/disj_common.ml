@@ -70,21 +70,6 @@ let random_disjoint_single_zero rng ~n ~k =
   done;
   { n; sets }
 
-(** Like {!random_disjoint_single_zero} but each coordinate gets
-    [zeros_per_coord] distinct zero-owners: more slack for the batched
-    protocol to exploit. *)
-let random_disjoint_multi rng ~n ~k ~zeros_per_coord =
-  let zeros_per_coord = min zeros_per_coord k in
-  let sets = Array.init k (fun _ -> Array.make n true) in
-  let players = Array.init k (fun i -> i) in
-  for j = 0 to n - 1 do
-    Prob.Rng.shuffle rng players;
-    for t = 0 to zeros_per_coord - 1 do
-      sets.(players.(t)).(j) <- false
-    done
-  done;
-  { n; sets }
-
 (** Non-disjoint instance: like the single-zero instance, but
     [witnesses] coordinates are left with no zero at all (they form the
     intersection). *)

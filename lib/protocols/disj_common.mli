@@ -34,9 +34,6 @@ val random_disjoint_single_zero : Prob.Rng.t -> n:int -> k:int -> instance
 (** Guaranteed disjoint, as hard as possible: every coordinate has
     exactly one zero with a random owner. *)
 
-val random_disjoint_multi :
-  Prob.Rng.t -> n:int -> k:int -> zeros_per_coord:int -> instance
-
 val random_intersecting :
   Prob.Rng.t -> n:int -> k:int -> witnesses:int -> instance
 (** Single-zero instance with [witnesses] coordinates left all-ones. *)

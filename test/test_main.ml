@@ -31,6 +31,7 @@ let () =
       ("absint", Test_absint.suite);
       ("depgraph", Test_depgraph.suite);
       ("infoflow", Test_infoflow.suite);
+      ("infoflow-diff", Test_infoflow_diff.suite);
       ("obs", Test_obs.suite);
       ("par", Test_par.suite);
     ]

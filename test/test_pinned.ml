@@ -53,8 +53,7 @@ let render_board b =
             Printf.sprintf "%d:%s" w.B.player (Coding.Bitvec.to_string w.B.vec))
           (B.writes b)))
 
-let render_emu ~pipelined name plan net_seed =
-  let (Reg.Entry r as e) = Option.get (Reg.find name) in
+let render_emu ~pipelined (Reg.Entry r as e) plan net_seed =
   let faults =
     match Fault.parse plan with Ok p -> p | Error m -> failwith m
   in
@@ -84,28 +83,41 @@ let render_emu ~pipelined name plan net_seed =
           (render_board board) (render_stats stats)
     | Error err -> "error " ^ Emu.error_message err
   in
-  Printf.sprintf "%s%s %s net=%d: %s" name
+  Printf.sprintf "%s%s %s net=%d: %s" (Reg.name e)
     (if pipelined then " pipelined" else "")
     (if plan = "" then "none" else plan)
     net_seed outcome
 
 (* Every fault kind on four entries, three network seeds each, without
    a certificate; then the same plans once more under each entry's
-   certificate. *)
+   certificate. Last, and/bcast at k = 7 in one pipelined wave of seven
+   slots, where an equivocating speaker puts two values in flight in a
+   phase of its slot and a crash cuts a fan-out short: the cases that
+   reach a wave's second value per (slot, phase) and its shared wires. *)
 let emu_cases =
   let entries =
-    [ "and/sequential"; "and/broadcast-all"; "and/truncated";
-      "disj/trivial-tree" ]
+    List.map
+      (fun name -> Option.get (Reg.find name))
+      [ "and/sequential"; "and/broadcast-all"; "and/truncated";
+        "disj/trivial-tree" ]
   and plans = [ ""; "crash:2@9"; "drop:0.05,delay:8"; "equiv:0" ] in
-  let grid ~pipelined nets =
+  let grid ~pipelined entries plans nets =
     List.concat_map
-      (fun name ->
+      (fun e ->
         List.concat_map
-          (fun plan -> List.map (fun net -> (pipelined, name, plan, net)) nets)
+          (fun plan -> List.map (fun net -> (pipelined, e, plan, net)) nets)
           plans)
       entries
   in
-  grid ~pipelined:false [ 1; 17; 4242 ] @ grid ~pipelined:true [ 17 ]
+  let bcast7 =
+    Reg.entry ~name:"and/bcast-7" ~players:7 ~domain:[| 0; 1 |]
+      (lazy (Protocols.And_protocols.broadcast_all 7))
+  in
+  grid ~pipelined:false entries plans [ 1; 17; 4242 ]
+  @ grid ~pipelined:true entries plans [ 17 ]
+  @ grid ~pipelined:true [ bcast7 ]
+      [ "equiv:1"; "crash:2@9"; "drop:0.05,delay:8"; "equiv:1,crash:2@9" ]
+      [ 1; 17 ]
 
 let emu_expected =
   [
@@ -173,15 +185,23 @@ let emu_expected =
     "disj/trivial-tree pipelined crash:2@9 net=17: delivered writes=3 bits=6 [0:11;1:11;2:10] net_bits=342 msgs=37 sends=6 echoes=16 readies=15 drops=0 crashed=1 waves=1";
     "disj/trivial-tree pipelined drop:0.05,delay:8 net=17: delivered writes=3 bits=6 [0:11;1:11;2:10] net_bits=374 msgs=40 sends=6 echoes=17 readies=17 drops=2 crashed=0 waves=1";
     "disj/trivial-tree pipelined equiv:0 net=17: delivered writes=3 bits=6 [0:11;1:11;2:10] net_bits=392 msgs=42 sends=6 echoes=18 readies=18 drops=0 crashed=0 waves=1";
+    "and/bcast-7 pipelined equiv:1 net=1: delivered writes=7 bits=7 [0:1;1:1;2:1;3:1;4:1;5:0;6:1] net_bits=6210 msgs=630 sends=42 echoes=294 readies=294 drops=0 crashed=0 waves=1";
+    "and/bcast-7 pipelined equiv:1 net=17: delivered writes=7 bits=7 [0:1;1:1;2:1;3:1;4:1;5:0;6:1] net_bits=6210 msgs=630 sends=42 echoes=294 readies=294 drops=0 crashed=0 waves=1";
+    "and/bcast-7 pipelined crash:2@9 net=1: stalled slots=2 speaker=2 reason=no-quorum bits=2 [0:1;1:1] net_bits=4923 msgs=495 sends=39 echoes=240 readies=216 drops=0 crashed=1 waves=1";
+    "and/bcast-7 pipelined crash:2@9 net=17: stalled slots=2 speaker=2 reason=no-quorum bits=2 [0:1;1:1] net_bits=4923 msgs=495 sends=39 echoes=240 readies=216 drops=0 crashed=1 waves=1";
+    "and/bcast-7 pipelined drop:0.05,delay:8 net=1: delivered writes=7 bits=7 [0:1;1:1;2:1;3:1;4:1;5:0;6:1] net_bits=5945 msgs=601 sends=41 echoes=279 readies=281 drops=23 crashed=0 waves=1";
+    "and/bcast-7 pipelined drop:0.05,delay:8 net=17: delivered writes=7 bits=7 [0:1;1:1;2:1;3:1;4:1;5:0;6:1] net_bits=5702 msgs=580 sends=40 echoes=269 readies=271 drops=38 crashed=0 waves=1";
+    "and/bcast-7 pipelined equiv:1,crash:2@9 net=1: stalled slots=1 speaker=1 reason=no-quorum bits=1 [0:1] net_bits=4599 msgs=459 sends=39 echoes=240 readies=180 drops=0 crashed=1 waves=1";
+    "and/bcast-7 pipelined equiv:1,crash:2@9 net=17: stalled slots=1 speaker=1 reason=no-quorum bits=1 [0:1] net_bits=4599 msgs=459 sends=39 echoes=240 readies=180 drops=0 crashed=1 waves=1";
   ]
 
 let t_emu_pinned () =
   Alcotest.(check int) "one expected line per case" (List.length emu_cases)
     (List.length emu_expected);
   List.iter2
-    (fun (pipelined, name, plan, net) expected ->
+    (fun (pipelined, e, plan, net) expected ->
       Alcotest.(check string) expected expected
-        (render_emu ~pipelined name plan net))
+        (render_emu ~pipelined e plan net))
     emu_cases emu_expected
 
 (* ------------------------------------------------------------------ *)
