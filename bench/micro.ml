@@ -5,6 +5,11 @@
 open Bechamel
 open Toolkit
 
+(* ~2048-bit operands: far above the native-int Euclid fast path and
+   the Karatsuba threshold, so these exercise the bigint slow paths. *)
+let big_a = Exact.Bigint.of_string (String.make 620 '7')
+let big_b = Exact.Bigint.of_string (String.make 619 '3')
+
 let tests () =
   let rng = Prob.Rng.of_int_seed 31337 in
   let inst_small =
@@ -20,10 +25,6 @@ let tests () =
   let nu = Array.make 64 (1. /. 64.) in
   let and_tree6 = Protocols.And_protocols.sequential 6 in
   let mu6 = Protocols.Hard_dist.mu_and ~k:6 in
-  (* ~2048-bit operands: far above the native-int Euclid fast path and
-     the Karatsuba threshold, so these exercise the bigint slow paths. *)
-  let big_a = Exact.Bigint.of_string (String.make 620 '7') in
-  let big_b = Exact.Bigint.of_string (String.make 619 '3') in
   (* Small-word rationals: stays on the native-int representation. *)
   let r13 = Exact.Rational.of_ints 1 3 in
   let r57 = Exact.Rational.of_ints 5 7 in
@@ -435,6 +436,21 @@ let exact_div_regression () =
     speedup (exact_t *. 1e9) (div_t *. 1e9);
   ignore !sink
 
+(* Allocation guard for the Stein gcd: minor words of one warm
+   [Bigint.gcd] of the ~2,048-bit pair above (69 limbs each). The loop
+   compares, subtracts and shifts in place on two accumulators, so a
+   call allocates their buffers and its result (~160 words); a compare
+   that built a closure over both operands on every step read 14,895.
+   A deterministic count. *)
+let bigint_gcd_alloc_regression () =
+  ignore (Exact.Bigint.gcd big_a big_b);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Exact.Bigint.gcd big_a big_b));
+  let words = Gc.minor_words () -. before in
+  assert (words < 1_000.0);
+  Exp_util.record_f "bigint_gcd_words" words;
+  Exp_util.note "Bigint.gcd, ~2048-bit pair, warm call: %.0f minor words" words
+
 (* Regression guard for node-id keyed compilation: [Proto.Compile]
    keys its per-node table on [Tree.id], so its cost per node must not
    grow with the tree. disj/bcast at n = 2 has 1,365 nodes at k = 5 and
@@ -678,6 +694,7 @@ let run () =
   direct_request_words ();
   compress_words ();
   exact_div_regression ();
+  bigint_gcd_alloc_regression ();
   compile_scaling_regression ();
   sim_alloc_regression ();
   emu_alloc_regression ();

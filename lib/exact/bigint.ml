@@ -11,76 +11,85 @@ type t = { sign : int; (* -1, 0, or 1 *) mag : int array }
 let zero = { sign = 0; mag = [||] }
 
 (* ------------------------------------------------------------------ *)
-(* Magnitude primitives.                                              *)
+(* Limb kernels.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let normalize mag =
-  let n = Array.length mag in
-  let rec top i = if i >= 0 && mag.(i) = 0 then top (i - 1) else i in
-  let t = top (n - 1) in
-  if t = n - 1 then mag else Array.sub mag 0 (t + 1)
+(* Each limb loop is written once, here, over a limb array and the
+   number of its limbs in use. The immutable operations below pass
+   whole arrays and build their result in a fresh one; [Acc] passes its
+   buffer and [len], and writes in place. A kernel that produces a
+   value writes it into a destination its caller has sized, and returns
+   the result's length without trailing zero limbs. The callers check
+   the lengths, so the inner loops use unsafe accesses: these are the
+   hottest loops in the repo (the subset codec's binomial scans and the
+   rational gcds run here). *)
 
-let mag_is_zero mag = Array.length mag = 0
+(* The length of [r]'s first [n] limbs once trailing zero limbs are
+   cut. *)
+let trim r n =
+  let n = ref n in
+  while !n > 0 && Array.unsafe_get r (!n - 1) = 0 do
+    decr n
+  done;
+  !n
 
-let cmp_mag a b =
-  let la = Array.length a and lb = Array.length b in
+(* The sign of [a - b]. A [while] loop: a local recursive function
+   would capture both operands in a closure allocated on every call,
+   and the Stein gcd compares once per step. *)
+let cmp_limbs (a : int array) la (b : int array) lb =
   if la <> lb then compare la lb
-  else
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
+  else begin
+    let i = ref (la - 1) in
+    while !i >= 0 && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      decr i
+    done;
+    if !i < 0 then 0
+    else compare (Array.unsafe_get a !i) (Array.unsafe_get b !i)
+  end
 
-let add_mag a b =
-  let la = Array.length a and lb = Array.length b in
+(* [r <- a + b]. [r] holds [max la lb + 1] limbs and may be [a] or
+   [b]. *)
+let add_limbs a la b lb r =
   let n = Stdlib.max la lb in
-  let r = Array.make (n + 1) 0 in
   let carry = ref 0 in
   for i = 0 to n - 1 do
-    let ai = if i < la then a.(i) else 0 in
-    let bi = if i < lb then b.(i) else 0 in
+    let ai = if i < la then Array.unsafe_get a i else 0 in
+    let bi = if i < lb then Array.unsafe_get b i else 0 in
     let s = ai + bi + !carry in
-    r.(i) <- s land base_mask;
+    Array.unsafe_set r i (s land base_mask);
     carry := s lsr base_bits
   done;
-  r.(n) <- !carry;
-  normalize r
+  Array.unsafe_set r n !carry;
+  trim r (n + 1)
 
-(* Requires a >= b. *)
-let sub_mag a b =
-  let la = Array.length a and lb = Array.length b in
-  let r = Array.make la 0 in
+(* [r <- a - b] for [a >= b]. [r] holds [la] limbs and may be [a] or
+   [b]. The difference limb is in (-2^30, 2^30): its low 30 bits are
+   the result limb either way, and its sign bit (bit 62) the borrow. *)
+let sub_limbs a la b lb r =
   let borrow = ref 0 in
   for i = 0 to la - 1 do
-    let ai = a.(i) in
-    let bi = if i < lb then b.(i) else 0 in
-    let d = ai - bi - !borrow in
-    if d < 0 then begin
-      r.(i) <- d + base;
-      borrow := 1
-    end
-    else begin
-      r.(i) <- d;
-      borrow := 0
-    end
+    let bi = if i < lb then Array.unsafe_get b i else 0 in
+    let d = Array.unsafe_get a i - bi - !borrow in
+    Array.unsafe_set r i (d land base_mask);
+    borrow := d lsr 62
   done;
   assert (!borrow = 0);
-  normalize r
+  trim r la
 
-let mul_mag_schoolbook a b =
-  let la = Array.length a and lb = Array.length b in
-  if la = 0 || lb = 0 then [||]
-  else begin
-    let r = Array.make (la + lb) 0 in
-    for i = 0 to la - 1 do
+(* [r <- a * b], schoolbook: one pass over [b] per nonzero limb of [a].
+   [r] holds [la + lb] limbs and is neither operand. *)
+let mul_limbs a la b lb r =
+  Array.fill r 0 (la + lb) 0;
+  for i = 0 to la - 1 do
+    let ai = Array.unsafe_get a i in
+    if ai <> 0 then begin
       let carry = ref 0 in
-      let ai = a.(i) in
       for j = 0 to lb - 1 do
         (* ai * b.(j) < 2^60, plus r and carry stays within 62 bits *)
-        let s = r.(i + j) + (ai * b.(j)) + !carry in
-        r.(i + j) <- s land base_mask;
+        let s =
+          Array.unsafe_get r (i + j) + (ai * Array.unsafe_get b j) + !carry
+        in
+        Array.unsafe_set r (i + j) (s land base_mask);
         carry := s lsr base_bits
       done;
       let k = ref (i + lb) in
@@ -90,8 +99,86 @@ let mul_mag_schoolbook a b =
         carry := s lsr base_bits;
         incr k
       done
+    end
+  done;
+  trim r (la + lb)
+
+(* [r <- a * m] for one limb [0 <= m < base]. [r] holds [la + 1] limbs
+   and may be [a]. *)
+let mul_limb_limbs a la m r =
+  let carry = ref 0 in
+  for i = 0 to la - 1 do
+    let s = (Array.unsafe_get a i * m) + !carry in
+    Array.unsafe_set r i (s land base_mask);
+    carry := s lsr base_bits
+  done;
+  Array.unsafe_set r la !carry;
+  trim r (la + 1)
+
+(* [r <- a / 2^s], [s >= 0]. [r] holds [la - s / base_bits] limbs when
+   that is positive, and may be [a]: limb [i] of the result reads limbs
+   [i + s / base_bits] and the one above it, never one already
+   written. For a whole-limb shift the upper term is [x lsl 30], which
+   the mask clears. *)
+let shift_right_limbs a la s r =
+  let ls = s / base_bits and bs = s mod base_bits in
+  if ls >= la then 0
+  else begin
+    let lr = la - ls in
+    for i = 0 to lr - 2 do
+      let hi = Array.unsafe_get a (i + ls + 1) lsl (base_bits - bs) in
+      Array.unsafe_set r i
+        ((Array.unsafe_get a (i + ls) lsr bs) lor (hi land base_mask))
     done;
-    normalize r
+    Array.unsafe_set r (lr - 1) (Array.unsafe_get a (la - 1) lsr bs);
+    trim r lr
+  end
+
+(* [log2] of the value in [a]'s first [la] limbs, from its top two:
+   exact to within one float ulp, [neg_infinity] for zero. *)
+let log2_limbs a la =
+  if la = 0 then neg_infinity
+  else begin
+    let top = float_of_int a.(la - 1) in
+    let v =
+      if la >= 2 then (top *. float_of_int base) +. float_of_int a.(la - 2)
+      else top
+    in
+    Float.log2 v +. float_of_int (Stdlib.max 0 (la - 2) * base_bits)
+  end
+
+(* Whether a normalized value fits 62 bits, in O(1): at most three
+   limbs, and a third limb below 4. *)
+let fits_int_limbs a la = la < 3 || (la = 3 && a.(2) < 4)
+
+(* ------------------------------------------------------------------ *)
+(* Magnitude primitives.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [r]'s first [n] limbs as a magnitude: [r] itself when that is all of
+   it. *)
+let take r n = if n = Array.length r then r else Array.sub r 0 n
+let normalize mag = take mag (trim mag (Array.length mag))
+let mag_is_zero mag = Array.length mag = 0
+let cmp_mag a b = cmp_limbs a (Array.length a) b (Array.length b)
+
+let add_mag a b =
+  let la = Array.length a and lb = Array.length b in
+  let r = Array.make (Stdlib.max la lb + 1) 0 in
+  take r (add_limbs a la b lb r)
+
+(* Requires a >= b. *)
+let sub_mag a b =
+  let la = Array.length a in
+  let r = Array.make la 0 in
+  take r (sub_limbs a la b (Array.length b) r)
+
+let mul_mag_schoolbook a b =
+  let la = Array.length a and lb = Array.length b in
+  if la = 0 || lb = 0 then [||]
+  else begin
+    let r = Array.make (la + lb) 0 in
+    take r (mul_limbs a la b lb r)
   end
 
 let mul_mag_int a m =
@@ -100,14 +187,7 @@ let mul_mag_int a m =
   else begin
     let la = Array.length a in
     let r = Array.make (la + 1) 0 in
-    let carry = ref 0 in
-    for i = 0 to la - 1 do
-      let s = (a.(i) * m) + !carry in
-      r.(i) <- s land base_mask;
-      carry := s lsr base_bits
-    done;
-    r.(la) <- !carry;
-    normalize r
+    take r (mul_limb_limbs a la m r)
   end
 
 (* Bit width of one limb [0 <= v < 2^30], by halving its range in five
@@ -141,22 +221,9 @@ let shift_left_mag a n =
 let shift_right_mag a n =
   if mag_is_zero a || n = 0 then a
   else begin
-    let limb_shift = n / base_bits and bit_shift = n mod base_bits in
     let la = Array.length a in
-    if limb_shift >= la then [||]
-    else begin
-      let lr = la - limb_shift in
-      let r = Array.make lr 0 in
-      for i = 0 to lr - 1 do
-        let lo = a.(i + limb_shift) lsr bit_shift in
-        let hi =
-          if bit_shift = 0 || i + limb_shift + 1 >= la then 0
-          else (a.(i + limb_shift + 1) lsl (base_bits - bit_shift)) land base_mask
-        in
-        r.(i) <- lo lor hi
-      done;
-      normalize r
-    end
+    let r = Array.make (Stdlib.max 0 (la - (n / base_bits))) 0 in
+    take r (shift_right_limbs a la n r)
   end
 
 let testbit_mag a i =
@@ -169,11 +236,12 @@ let testbit_mag a i =
 let karatsuba_threshold = 24
 
 (* Split [x] at limb [m]: low part [x[0..m)], high part [x[m..)], both
-   normalized so the magnitude invariants hold for the recursive calls. *)
+   normalized so the magnitude invariants hold for the recursive calls
+   (the high part keeps [x]'s nonzero top limb). *)
 let split_mag x m =
   let lx = Array.length x in
   if lx <= m then (x, [||])
-  else (normalize (Array.sub x 0 m), normalize (Array.sub x m (lx - m)))
+  else (Array.sub x 0 (trim x m), Array.sub x m (lx - m))
 
 let rec mul_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -280,8 +348,6 @@ let compare a b =
   else cmp_mag b.mag a.mag
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let add a b =
   if a.sign = 0 then b
@@ -345,13 +411,8 @@ let ctz_mag a =
 
 let rec int_gcd a b = if b = 0 then a else int_gcd b (a mod b)
 
-(* [to_int_opt] needs [num_bits]/[equal], which are defined below; the
-   magnitude check here is all gcd and div_exact need for their
-   word-size paths. At most 62 bits, in O(1) on a normalized magnitude:
-   at most three limbs, and a third limb below 4. *)
-let mag_fits_int mag =
-  let l = Array.length mag in
-  l < 3 || (l = 3 && mag.(2) < 4)
+(* The word-size test of gcd's and div_exact's native paths. *)
+let mag_fits_int mag = fits_int_limbs mag (Array.length mag)
 
 let mag_to_int mag =
   let v = ref 0 in
@@ -379,17 +440,7 @@ let to_int_exn x =
   | Some n -> n
   | None -> invalid_arg "Bigint.to_int_exn: out of range"
 
-let log2_approx x =
-  let l = Array.length x.mag in
-  if l = 0 then neg_infinity
-  else begin
-    let top = float_of_int x.mag.(l - 1) in
-    let v =
-      if l >= 2 then (top *. float_of_int base) +. float_of_int x.mag.(l - 2)
-      else top
-    in
-    Float.log2 v +. float_of_int (Stdlib.max 0 (l - 2) * base_bits)
-  end
+let log2_approx x = log2_limbs x.mag (Array.length x.mag)
 
 let to_float x =
   let f =
@@ -433,8 +484,6 @@ let to_string x =
         List.iter (fun d -> Buffer.add_string buf (Printf.sprintf "%09d" d)) rest;
         Buffer.contents buf
   end
-
-let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 let factorial n =
   if n < 0 then invalid_arg "Bigint.factorial";
@@ -515,17 +564,7 @@ module Acc = struct
     if m = 0 then a.len <- 0
     else if a.len > 0 then begin
       ensure a (a.len + 1);
-      let am = a.mag in
-      let carry = ref 0 in
-      for i = 0 to a.len - 1 do
-        let s = (Array.unsafe_get am i * m) + !carry in
-        Array.unsafe_set am i (s land base_mask);
-        carry := s lsr base_bits
-      done;
-      if !carry <> 0 then begin
-        am.(a.len) <- !carry;
-        a.len <- a.len + 1
-      end
+      a.len <- mul_limb_limbs a.mag a.len m a.mag
     end
 
   (* Exact division runs LSB-first a la Jebelean: multiply each
@@ -545,35 +584,15 @@ module Acc = struct
 
   let shift_right_exact a s =
     if s > 0 && a.len > 0 then begin
-      (* Whole limbs first (must be zero), then the sub-limb remainder. *)
-      let ls = s / base_bits and bs = s mod base_bits in
-      if ls > 0 then begin
-        if ls >= a.len then begin
-          let rec nz i = i < a.len && (a.mag.(i) <> 0 || nz (i + 1)) in
-          if nz 0 then invalid_arg "Bigint.Acc.shift_right_exact: not divisible";
-          a.len <- 0
-        end
-        else begin
-          for i = 0 to ls - 1 do
-            if a.mag.(i) <> 0 then
-              invalid_arg "Bigint.Acc.shift_right_exact: not divisible"
-          done;
-          Array.blit a.mag ls a.mag 0 (a.len - ls);
-          a.len <- a.len - ls
-        end
-      end;
-      if bs > 0 && a.len > 0 then begin
-        if a.mag.(0) land ((1 lsl bs) - 1) <> 0 then
-          invalid_arg "Bigint.Acc.shift_right_exact: not divisible";
-        for i = 0 to a.len - 1 do
-          let hi = if i + 1 < a.len then a.mag.(i + 1) else 0 in
-          a.mag.(i) <-
-            (a.mag.(i) lsr bs) lor (hi lsl (base_bits - bs) land base_mask)
-        done;
-        while a.len > 0 && a.mag.(a.len - 1) = 0 do
-          a.len <- a.len - 1
-        done
-      end
+      (* The limbs below [ls] and the low bits of limb [ls] must be zero;
+         a nonzero value has none left once [ls] reaches [len]. *)
+      let ls = s / base_bits in
+      if
+        ls >= a.len
+        || trim a.mag ls > 0
+        || a.mag.(ls) land ((1 lsl (s mod base_bits)) - 1) <> 0
+      then invalid_arg "Bigint.Acc.shift_right_exact: not divisible";
+      a.len <- shift_right_limbs a.mag a.len s a.mag
     end
 
   let div_exact_small a d =
@@ -600,128 +619,40 @@ module Acc = struct
       done;
       if !carry <> 0 then
         invalid_arg "Bigint.Acc.div_exact_small: not divisible";
-      while a.len > 0 && am.(a.len - 1) = 0 do
-        a.len <- a.len - 1
-      done
+      a.len <- trim am a.len
     end
 
   let compare_t a (x : t) =
-    if x.sign < 0 then 1
-    else
-      let lx = Array.length x.mag in
-      if a.len <> lx then Stdlib.compare a.len lx
-      else
-        let rec go i =
-          if i < 0 then 0
-          else if a.mag.(i) <> x.mag.(i) then
-            Stdlib.compare a.mag.(i) x.mag.(i)
-          else go (i - 1)
-        in
-        go (lx - 1)
+    if x.sign < 0 then 1 else cmp_limbs a.mag a.len x.mag (Array.length x.mag)
 
   (* ---------------------------------------------------------------- *)
   (* Multi-limb extensions: one multiply and one exact division per   *)
   (* factor *chunk* in the subset-codec scans, instead of per factor. *)
-  (* The inner loops use unsafe accesses — lengths are validated once *)
-  (* at entry, and these loops are the hottest code in the repo (the  *)
-  (* E2 combinatorial encoder spends its time here).                  *)
   (* ---------------------------------------------------------------- *)
 
-  let compare_acc a b =
-    if a.len <> b.len then Stdlib.compare a.len b.len
-    else
-      let rec go i =
-        if i < 0 then 0
-        else if a.mag.(i) <> b.mag.(i) then Stdlib.compare a.mag.(i) b.mag.(i)
-        else go (i - 1)
-      in
-      go (a.len - 1)
+  let compare_acc a b = cmp_limbs a.mag a.len b.mag b.len
 
   let add_acc a b =
-    let n = Stdlib.max a.len b.len in
-    ensure a (n + 1);
-    let am = a.mag and bm = b.mag in
-    let carry = ref 0 in
-    for i = 0 to n - 1 do
-      let ai = if i < a.len then Array.unsafe_get am i else 0 in
-      let bi = if i < b.len then Array.unsafe_get bm i else 0 in
-      let s = ai + bi + !carry in
-      Array.unsafe_set am i (s land base_mask);
-      carry := s lsr base_bits
-    done;
-    if !carry <> 0 then begin
-      am.(n) <- !carry;
-      a.len <- n + 1
-    end
-    else begin
-      a.len <- n;
-      while a.len > 0 && am.(a.len - 1) = 0 do
-        a.len <- a.len - 1
-      done
-    end
+    ensure a (Stdlib.max a.len b.len + 1);
+    a.len <- add_limbs a.mag a.len b.mag b.len a.mag
 
   let sub_acc a b =
     if compare_acc a b < 0 then invalid_arg "Bigint.Acc.sub_acc: negative";
-    let am = a.mag and bm = b.mag in
-    let borrow = ref 0 in
-    for i = 0 to a.len - 1 do
-      let bi = if i < b.len then Array.unsafe_get bm i else 0 in
-      let d = Array.unsafe_get am i - bi - !borrow in
-      if d < 0 then begin
-        Array.unsafe_set am i (d + base);
-        borrow := 1
-      end
-      else begin
-        Array.unsafe_set am i d;
-        borrow := 0
-      end
-    done;
-    while a.len > 0 && am.(a.len - 1) = 0 do
-      a.len <- a.len - 1
-    done
+    a.len <- sub_limbs a.mag a.len b.mag b.len a.mag
 
   let mul_acc ~scratch a p =
     if scratch == a || scratch == p then
       invalid_arg "Bigint.Acc.mul_acc: scratch aliases an operand";
     if p.len = 0 then a.len <- 0
     else if a.len <> 0 then begin
-      let la = a.len and lp = p.len in
-      let n = la + lp in
-      ensure scratch n;
-      let r = scratch.mag and am = a.mag and pm = p.mag in
-      Array.fill r 0 n 0;
-      for i = 0 to lp - 1 do
-        let pi = Array.unsafe_get pm i in
-        if pi <> 0 then begin
-          let carry = ref 0 in
-          for j = 0 to la - 1 do
-            let s =
-              Array.unsafe_get r (i + j)
-              + (pi * Array.unsafe_get am j)
-              + !carry
-            in
-            Array.unsafe_set r (i + j) (s land base_mask);
-            carry := s lsr base_bits
-          done;
-          let k = ref (i + la) in
-          while !carry <> 0 do
-            let s = r.(!k) + !carry in
-            r.(!k) <- s land base_mask;
-            carry := s lsr base_bits;
-            incr k
-          done
-        end
-      done;
-      let len = ref n in
-      while !len > 0 && r.(!len - 1) = 0 do
-        decr len
-      done;
+      ensure scratch (a.len + p.len);
+      let am = a.mag in
+      a.len <- mul_limbs p.mag p.len am a.len scratch.mag;
       (* Swap buffers: the product becomes [a], [a]'s old buffer becomes
          the scratch for the next call. *)
+      a.mag <- scratch.mag;
       scratch.mag <- am;
-      scratch.len <- 0;
-      a.mag <- r;
-      a.len <- !len
+      scratch.len <- 0
     end
 
   let div_exact_acc a d =
@@ -766,28 +697,13 @@ module Acc = struct
           end;
           Array.unsafe_set am i q
         done;
-        for t = lq to la - 1 do
-          if am.(t) <> 0 then
-            invalid_arg "Bigint.Acc.div_exact_acc: not divisible"
-        done;
-        a.len <- lq;
-        while a.len > 0 && am.(a.len - 1) = 0 do
-          a.len <- a.len - 1
-        done
+        if trim am la > lq then
+          invalid_arg "Bigint.Acc.div_exact_acc: not divisible";
+        a.len <- trim am lq
       end
     end
 
-  let log2_approx a =
-    if a.len = 0 then neg_infinity
-    else begin
-      let top = float_of_int a.mag.(a.len - 1) in
-      let v =
-        if a.len >= 2 then
-          (top *. float_of_int base) +. float_of_int a.mag.(a.len - 2)
-        else top
-      in
-      Float.log2 v +. float_of_int ((Stdlib.max 0 (a.len - 2)) * base_bits)
-    end
+  let log2_approx a = log2_limbs a.mag a.len
 end
 
 (* ------------------------------------------------------------------ *)
@@ -799,8 +715,7 @@ end
    [acc_mag] can hand it back without a copy when nothing was cut. *)
 let acc_of_mag m = { Acc.mag = Array.copy m; len = Array.length m }
 
-let acc_mag (x : Acc.acc) =
-  if x.len = Array.length x.mag then x.mag else Array.sub x.mag 0 x.len
+let acc_mag (x : Acc.acc) = take x.mag x.len
 
 let div_exact a d =
   if d.sign = 0 then raise Division_by_zero;
@@ -825,8 +740,6 @@ let div_exact a d =
     make (a.sign * d.sign) (acc_mag q)
   end
 
-(* [mag_fits_int] on an accumulator. *)
-let acc_fits_int (x : Acc.acc) = x.len < 3 || (x.len = 3 && x.mag.(2) < 4)
 
 (* [a mod d] for a one-limb [d]: one pass over [a]'s limbs, high to
    low, without building the quotient. *)
@@ -838,8 +751,8 @@ let rem_mag_small a d =
   !r
 
 (* Binary (Stein) GCD. Euclid over [div_mod] would peel one quotient
-   bit per iteration on multi-limb operands; here every iteration is
-   one subtract and one trailing-zero shift, both in place on two
+   bit per iteration on multi-limb operands; here every iteration is a
+   compare, a subtract and a trailing-zero shift, in place on two
    accumulators, so no step allocates. Word-size operands drop to
    native-int Euclid, on entry and as soon as the loop reaches them;
    so does a one-limb operand, after one remainder pass over the other
@@ -859,7 +772,7 @@ let gcd a b =
     Acc.shift_right_exact y zb;
     (* both odd from here on; the loop keeps them odd *)
     let rec loop (x : Acc.acc) (y : Acc.acc) =
-      if acc_fits_int x && acc_fits_int y then
+      if fits_int_limbs x.mag x.len && fits_int_limbs y.mag y.len then
         (of_int (int_gcd (mag_to_int (acc_mag x)) (mag_to_int (acc_mag y)))).mag
       else
         let c = Acc.compare_acc x y in
@@ -919,17 +832,10 @@ module For_testing = struct
     if n <= 0 then zero else shift_left one ((n - 1) * base_bits)
 
   let limb_count x = Array.length x.mag
-end
+  let limbs x = Array.copy x.mag
 
-module Infix = struct
-  let ( + ) = add
-  let ( - ) = sub
-  let ( * ) = mul
-  let ( / ) = div
-  let ( mod ) = rem
-  let ( = ) = equal
-  let ( < ) a b = compare a b < 0
-  let ( <= ) a b = compare a b <= 0
-  let ( > ) a b = compare a b > 0
-  let ( >= ) a b = compare a b >= 0
+  let of_limbs l =
+    if Array.exists (fun v -> v < 0 || v >= base) l then
+      invalid_arg "Bigint.For_testing.of_limbs: limb out of range";
+    make 1 (Array.copy l)
 end

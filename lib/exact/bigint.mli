@@ -32,7 +32,6 @@ val of_string : string -> t
     @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val to_float : t -> float
 (** Nearest float; may be [infinity] for huge values. *)
@@ -43,8 +42,6 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val sign : t -> int
 val is_zero : t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Arithmetic} *)
 
@@ -80,9 +77,11 @@ val shift_right : t -> int -> t
 
 val gcd : t -> t -> t
 (** Greatest common divisor of the absolute values; [gcd zero zero = zero].
-    Binary (Stein) GCD run in place on two {!Acc} buffers (a subtract
-    and a trailing-zero shift per step, no allocation per step), with a
-    native-int Euclid exit once both operands fit a word, or at once
+    Binary (Stein) GCD run in place on two {!Acc} buffers: a compare,
+    a subtract and a trailing-zero shift per step, none of which
+    allocates, so a call allocates only the two buffers and its result
+    (about 160 minor words on a pair of ~2,048-bit operands). It takes
+    a native-int Euclid exit once both operands fit a word, or at once
     after one remainder pass when either is a single limb;
     differentially tested against the reference Euclid implementation
     in {!For_testing}. *)
@@ -113,9 +112,12 @@ val log2_approx : t -> float
 
     A mutable non-negative integer for multiply-small / divide-small
     scan loops (running binomials in the subset codec); {!div_exact} and
-    {!gcd} run on the same kernels internally. All operations mutate in
-    place over a growable limb buffer, so a whole scan costs two
-    allocations (create + [to_t]) instead of two per step. *)
+    {!gcd} run on it internally. All operations mutate in place over a
+    growable limb buffer, so a whole scan costs two allocations (create
+    + [to_t]) instead of two per step. Compare, add, subtract, multiply
+    and right shift run the same limb loops as the immutable operations
+    above: those pass a fresh array, an accumulator passes its own
+    buffer. *)
 
 module Acc : sig
   type acc
@@ -203,19 +205,13 @@ module For_testing : sig
   (** Smallest positive value stored in exactly [n] limbs. *)
 
   val limb_count : t -> int
-end
 
-(** {1 Infix operators} *)
+  val limbs : t -> int array
+  (** A copy of the magnitude's base-2{^30} limbs, least significant
+      first, with no trailing zero limb ([[||]] for zero). *)
 
-module Infix : sig
-  val ( + ) : t -> t -> t
-  val ( - ) : t -> t -> t
-  val ( * ) : t -> t -> t
-  val ( / ) : t -> t -> t
-  val ( mod ) : t -> t -> t
-  val ( = ) : t -> t -> bool
-  val ( < ) : t -> t -> bool
-  val ( <= ) : t -> t -> bool
-  val ( > ) : t -> t -> bool
-  val ( >= ) : t -> t -> bool
+  val of_limbs : int array -> t
+  (** The non-negative value of these limbs, least significant first;
+      trailing zero limbs are allowed.
+      @raise Invalid_argument unless every limb is in [[0, 2^30)]. *)
 end

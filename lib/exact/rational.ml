@@ -106,10 +106,9 @@ let to_float = function
 let of_float_dyadic f =
   if not (Float.is_finite f) then invalid_arg "Rational.of_float_dyadic";
   let mantissa, exponent = Float.frexp f in
-  (* mantissa * 2^53 is an exact integer for finite floats *)
-  let m = Int64.of_float (mantissa *. 9007199254740992.0) in
+  (* mantissa * 2^53 is an exact integer below 2^53 in magnitude *)
+  let mi = Bigint.of_int (Float.to_int (mantissa *. 0x1p53)) in
   let e = exponent - 53 in
-  let mi = Bigint.of_string (Int64.to_string m) in
   if e >= 0 then canonical (Bigint.shift_left mi e) Bigint.one
   else canonical mi (Bigint.shift_left Bigint.one (-e))
 
@@ -294,16 +293,4 @@ module For_testing = struct
     | _ -> canonical (Bigint.mul (num a) (num b)) (Bigint.mul (den a) (den b))
 
   let div_ref a b = mul_ref a (inv b)
-end
-
-module Infix = struct
-  let ( + ) = add
-  let ( - ) = sub
-  let ( * ) = mul
-  let ( / ) = div
-  let ( = ) = equal
-  let ( < ) a b = compare a b < 0
-  let ( <= ) a b = compare a b <= 0
-  let ( > ) a b = compare a b > 0
-  let ( >= ) a b = compare a b >= 0
 end

@@ -113,15 +113,3 @@ module For_testing : sig
       out the full products and reduces them by one gcd, where the
       library cancels common factors before it multiplies. *)
 end
-
-module Infix : sig
-  val ( + ) : t -> t -> t
-  val ( - ) : t -> t -> t
-  val ( * ) : t -> t -> t
-  val ( / ) : t -> t -> t
-  val ( = ) : t -> t -> bool
-  val ( < ) : t -> t -> bool
-  val ( <= ) : t -> t -> bool
-  val ( > ) : t -> t -> bool
-  val ( >= ) : t -> t -> bool
-end

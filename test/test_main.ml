@@ -2,6 +2,7 @@ let () =
   Alcotest.run "broadcast-information-complexity"
     [
       ("bigint", Test_bigint.suite);
+      ("bigint-diff", Test_bigint_diff.suite);
       ("rational", Test_rational.suite);
       ("rng", Test_rng.suite);
       ("dist", Test_dist.suite);

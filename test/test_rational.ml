@@ -46,6 +46,31 @@ let t_of_float_dyadic () =
   check_float ~msg:"dyadic roundtrips float" 0.1
     (R.to_float (R.of_float_dyadic 0.1))
 
+(* Every finite float is dyadic, so [of_float_dyadic] then [to_float]
+   gives it back: random bit patterns with every exponent below the
+   infinities', subnormals (exponent field 0), both zeros and the
+   extremes. *)
+let prop_of_float_dyadic_roundtrip =
+  let bits =
+    QCheck.Gen.(
+      map3
+        (fun sign e m ->
+          let top = Int64.of_int ((if sign then 2048 else 0) lor e) in
+          let low = Int64.logand m 0xF_FFFF_FFFF_FFFFL in
+          Int64.(float_of_bits (logor (shift_left top 52) low)))
+        bool
+        (frequency [ (1, return 0); (4, int_range 1 2046) ])
+        ui64)
+  in
+  let edges =
+    [ 0.; -0.; Float.succ 0.; Float.pred Float.min_float; Float.min_float;
+      Float.max_float; -.Float.max_float; Float.epsilon; 1.; -1. ]
+  in
+  qtest "to_float (of_float_dyadic f) = f on finite floats" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h")
+       QCheck.Gen.(frequency [ (1, oneofl edges); (8, bits) ]))
+    (fun f -> R.to_float (R.of_float_dyadic f) = f)
+
 let t_log2 () =
   check_float ~msg:"log2 8" 3. (R.log2 (R.of_int 8));
   check_float ~msg:"log2 1/4" (-2.) (R.log2 (R.of_ints 1 4));
@@ -335,6 +360,7 @@ let suite =
     quick "comparisons" t_compare;
     quick "zero denominators" t_zero_den;
     quick "of_float_dyadic" t_of_float_dyadic;
+    prop_of_float_dyadic_roundtrip;
     quick "log2" t_log2;
     quick "to_float past 1024-bit sides" t_to_float_wide;
     quick "sum" t_sum;
